@@ -360,8 +360,10 @@ struct ChurnReport {
   /// FNV-1a over every accepted compaction move — the digest-checked
   /// decision trail (also folded into decision_digest).
   std::uint64_t compaction_digest = 0;
-  /// Wall-clock nanoseconds per request, only if measure_latency.
-  sim::Histogram request_latency_ns{1024};
+  /// Wall-clock nanoseconds per request, only if measure_latency. Log-linear
+  /// buckets: the decision tail sits past 1 ms, beyond an exact histogram's
+  /// range.
+  sim::LogHistogram request_latency_ns;
   double wall_seconds = 0.0; ///< wall time of the whole drive loop
 };
 

@@ -26,7 +26,11 @@ thread_local DispatchCtx tls_dispatch;
 
 } // namespace
 
-Kernel::~Kernel() { stop_workers(); }
+Kernel::~Kernel() {
+  stop_workers();
+  for (Component* c : components_)
+    if (c != nullptr) c->kernel_ = nullptr;
+}
 
 void Kernel::add(Component* c) {
   assert(!in_parallel_ && "components may not be constructed inside a parallel phase");

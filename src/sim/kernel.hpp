@@ -91,6 +91,9 @@ class Kernel {
 
   explicit Kernel(Scheduler scheduler = Scheduler::kStride)
       : scheduler_(scheduler) {}
+  /// Detaches every component still registered, so one that outlives the
+  /// kernel (a probe created by a RunSpec::on_network hook) can still be
+  /// destroyed safely; it must not be used in any other way.
   ~Kernel();
 
   Kernel(const Kernel&) = delete;

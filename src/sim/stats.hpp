@@ -184,6 +184,44 @@ class Histogram {
   ScalarStat scalar_;
 };
 
+/// Histogram for host-time samples (wall-clock nanoseconds), which span
+/// many decades: log-linear buckets, exact below 2^kExactBits and, above,
+/// 2^(kExactBits-1) equal-width buckets per power of two. A quantile is
+/// the upper edge of its bucket clamped to max(), so it never undershoots
+/// and overshoots the true sample by less than kMaxRelativeError. The
+/// whole uint64 range fits in at most 7 424 buckets, so nothing saturates.
+/// Sim-cycle latencies keep the exact Histogram above.
+class LogHistogram {
+ public:
+  static constexpr unsigned kExactBits = 8;
+  static constexpr double kMaxRelativeError =
+      1.0 / static_cast<double>(std::uint64_t{1} << (kExactBits - 1));
+
+  void add(std::uint64_t v) {
+    scalar_.add(static_cast<double>(v));
+    const std::size_t i = bucket_of(v);
+    if (i >= buckets_.size()) buckets_.resize(i + 1, 0);
+    ++buckets_[i];
+  }
+
+  std::uint64_t count() const { return scalar_.count(); }
+  double mean() const { return scalar_.mean(); }
+  double min() const { return scalar_.min(); }
+  double max() const { return scalar_.max(); }
+
+  /// Value v such that at least q (in [0,1]) of the samples are <= v, up
+  /// to the bucket resolution (see the class comment).
+  std::uint64_t quantile(double q) const;
+
+  /// Bucket index of sample v, and the largest sample bucket i holds.
+  static std::size_t bucket_of(std::uint64_t v);
+  static std::uint64_t bucket_upper(std::size_t i);
+
+ private:
+  std::vector<std::uint64_t> buckets_;
+  ScalarStat scalar_;
+};
+
 // JSON serialization hooks (see sim/json.hpp) — every stats primitive maps
 // to one object so batch runs and benches emit a uniform schema.
 JsonValue to_json(const Counter& c);
@@ -193,5 +231,7 @@ JsonValue to_json(const Gauge& g);
 /// Summary form: count/mean/min/max/overflow plus p50/p90/p99 quantiles
 /// (bucket contents are summarized, not dumped).
 JsonValue to_json(const Histogram& h);
+/// count/mean/min/max plus p50/p90/p99 quantiles.
+JsonValue to_json(const LogHistogram& h);
 
 } // namespace daelite::sim

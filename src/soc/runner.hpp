@@ -77,7 +77,8 @@ struct RunSpec {
   std::uint64_t seed = 0;
   /// Cycle-loop implementation for the job's kernel. The stride scheduler
   /// and the per-cycle reference produce byte-identical reports and traces
-  /// (a ctest diffs them); kReference exists as the oracle for that check.
+  /// (a ctest diffs them); kReference exists as the oracle for that check
+  /// and never enables SoA dispatch (see `soa`).
   sim::Scheduler scheduler = sim::Scheduler::kStride;
   /// Shard count for single-run parallelism (stride scheduler only):
   /// > 1 partitions the mesh's routers and NIs into contiguous node bands
@@ -86,14 +87,17 @@ struct RunSpec {
   /// for every value — the shard count is deliberately NOT recorded in the
   /// report, so CI can diff --shards 1 against --shards N outputs.
   std::uint32_t shards = 1;
-  /// Batched SoA slot dispatch (DaeliteNetwork::enable_soa, stride
-  /// scheduler only — silently ignored under kReference). Like `shards`,
-  /// byte-identical output and deliberately NOT recorded in the report, so
-  /// CI can diff --soa runs against component-path outputs.
-  bool soa = false;
+  /// Batched SoA slot dispatch (DaeliteNetwork::enable_soa), the default
+  /// data path. false selects the per-component stride dispatch, kept as
+  /// the cross-check; kReference ignores the flag and stays the
+  /// per-component oracle. Like `shards`, byte-identical output and
+  /// deliberately NOT recorded in the report, so CI can diff the SoA
+  /// default against `--scheduler stride` and `--scheduler reference`.
+  bool soa = true;
   /// Invoked once the network exists, before configuration — attach VCD
   /// probes or extra instrumentation here. Objects the hook creates must
-  /// outlive the run_scenario() call.
+  /// outlive the run_scenario() call; components among them are detached
+  /// from the job's kernel when the call returns (sim::Kernel::~Kernel).
   std::function<void(sim::Kernel&, hw::DaeliteNetwork&)> on_network;
   /// Non-null: attach this tracer to the job's kernel. Every hardware
   /// element records into it and the runner adds configure/traffic phase

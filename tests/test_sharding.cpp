@@ -244,12 +244,13 @@ TEST(Sharding, RecoveryReportsByteIdenticalAcrossShardsAndSchedulers) {
   const soc::Scenario sc = stress_scenario();
   const std::uint64_t link = first_conn_mid_link(sc);
 
-  const auto run = [&](sim::Scheduler scheduler, std::uint32_t shards) {
+  const auto run = [&](sim::Scheduler scheduler, std::uint32_t shards, bool soa = true) {
     soc::RunSpec spec;
     spec.label = "shard-recovery";
     spec.scenario = sc;
     spec.scheduler = scheduler;
     spec.shards = shards;
+    spec.soa = soa;
     spec.fault_plan.seed = 42;
     sim::FaultDirective kill;
     kill.kind = sim::FaultDirective::Kind::kKill;
@@ -262,9 +263,11 @@ TEST(Sharding, RecoveryReportsByteIdenticalAcrossShardsAndSchedulers) {
     return soc::run_scenario(spec).to_json().dump(2);
   };
 
-  const std::string serial = run(sim::Scheduler::kStride, 1);
+  // Serial and sharded component path, then the default SoA dispatch.
+  const std::string serial = run(sim::Scheduler::kStride, 1, /*soa=*/false);
   EXPECT_NE(serial.find("\"restored\": true"), std::string::npos);
-  EXPECT_EQ(run(sim::Scheduler::kStride, 2), serial);
+  EXPECT_EQ(run(sim::Scheduler::kStride, 2, /*soa=*/false), serial);
+  EXPECT_EQ(run(sim::Scheduler::kStride, 1), serial);
   EXPECT_EQ(run(sim::Scheduler::kStride, 4), serial);
   // The per-cycle reference scheduler is the oracle; shard counts are
   // clamped to 1 under it, and the stride results must still match it.

@@ -12,6 +12,7 @@
 #include "sim/trace.hpp"
 #include "sim/vcd.hpp"
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -76,6 +77,20 @@ TEST(Kernel, ComponentRegistryTracksLifetime) {
     EXPECT_EQ(k.component_count(), 1u);
   }
   EXPECT_EQ(k.component_count(), 0u);
+}
+
+TEST(Kernel, ComponentMayOutliveKernel) {
+  // A probe made by a RunSpec::on_network hook (daelite_sim's VCD sampler)
+  // outlives the job's kernel; its destructor must not touch the freed
+  // kernel (a heap-use-after-free under ASan before the kernel detached it).
+  std::unique_ptr<Counter> late;
+  {
+    Kernel k;
+    late = std::make_unique<Counter>(k, "late");
+    k.run(3);
+    EXPECT_EQ(late->value().get(), 3);
+  }
+  late.reset();
 }
 
 /// Records the cycle of every dispatched tick (cadence-aware).
@@ -469,6 +484,66 @@ TEST(Histogram, MergeGrowsToCoverSource) {
   EXPECT_EQ(a.quantile(1.0), 200u);
   EXPECT_EQ(a.min(), 1.0);
   EXPECT_EQ(a.max(), 200.0);
+}
+
+TEST(LogHistogram, ExactBelowTwoToTheK) {
+  LogHistogram h;
+  const std::uint64_t exact = std::uint64_t{1} << LogHistogram::kExactBits;
+  for (std::uint64_t v = 0; v < exact; ++v) h.add(v);
+  EXPECT_EQ(h.count(), exact);
+  EXPECT_EQ(h.quantile(0.0), 0u);
+  EXPECT_EQ(h.quantile(0.5), exact / 2 - 1);
+  EXPECT_EQ(h.quantile(1.0), exact - 1);
+  for (std::uint64_t v = 0; v < exact; ++v) {
+    EXPECT_EQ(LogHistogram::bucket_of(v), v);
+    EXPECT_EQ(LogHistogram::bucket_upper(v), v);
+  }
+}
+
+TEST(LogHistogram, BucketsTileTheWholeRangeWithBoundedError) {
+  // Every bucket starts one past its predecessor's upper edge and is
+  // narrower than kMaxRelativeError of its lower edge; the last one ends
+  // at the top of the uint64 range.
+  std::uint64_t lower = 0;
+  std::size_t i = 0;
+  for (;; ++i) {
+    const std::uint64_t upper = LogHistogram::bucket_upper(i);
+    ASSERT_EQ(LogHistogram::bucket_of(lower), i);
+    ASSERT_EQ(LogHistogram::bucket_of(upper), i);
+    ASSERT_LE(static_cast<double>(upper - lower),
+              LogHistogram::kMaxRelativeError * static_cast<double>(lower));
+    if (upper == std::numeric_limits<std::uint64_t>::max()) break;
+    lower = upper + 1;
+  }
+  EXPECT_EQ(i + 1, 7424u);
+}
+
+TEST(LogHistogram, HostTimeTailPastOneMillisecondDoesNotSaturate) {
+  // 97 decisions at 0.5 ms, two at ~3 ms, one at 5 ms: p99 is the 3 ms
+  // sample. The exact Histogram caps at 2^20 ns (~1.05 ms) and answers
+  // max() instead.
+  const std::uint64_t tail = 3'000'017;
+  LogHistogram h;
+  Histogram capped;
+  for (int i = 0; i < 97; ++i) {
+    h.add(500'000);
+    capped.add(500'000);
+  }
+  for (std::uint64_t v : {tail, tail, std::uint64_t{5'000'000}}) {
+    h.add(v);
+    capped.add(v);
+  }
+  const std::uint64_t p99 = h.quantile(0.99);
+  EXPECT_GE(p99, tail);
+  EXPECT_LE(static_cast<double>(p99 - tail),
+            LogHistogram::kMaxRelativeError * static_cast<double>(tail));
+  EXPECT_GT(p99, Histogram::kMaxBuckets);
+  EXPECT_LT(p99, 5'000'000u);
+  EXPECT_EQ(capped.quantile(0.99), 5'000'000u);
+  EXPECT_GE(h.quantile(0.5), 500'000u);
+  EXPECT_LE(static_cast<double>(h.quantile(0.5) - 500'000),
+            LogHistogram::kMaxRelativeError * 500'000.0);
+  EXPECT_EQ(h.quantile(1.0), 5'000'000u);
 }
 
 TEST(ScalarStat, WelfordVarianceIsStableForLargeMeans) {

@@ -9,8 +9,9 @@
 //     masks stay exact across set/clear, rebinding into a pool preserves
 //     contents and later writes, copies re-own their storage;
 //   * randomized scenario property: seeded random meshes and connection
-//     sets produce identical NetworkReport JSON across component/SoA
-//     dispatch, shard counts 1/2/4, and the per-cycle reference oracle;
+//     sets produce identical NetworkReport JSON across the default SoA
+//     dispatch, the component path, shard counts 1/2/4, and the
+//     per-cycle reference oracle;
 //   * external-write timing into SoA-skipped NIs (host pushes during
 //     idle stretches must still commit on the same edge);
 //   * multicast-heavy delivery logs, word for word and cycle for cycle;
@@ -308,14 +309,25 @@ soc::Scenario random_scenario(std::uint64_t seed) {
   return sc;
 }
 
-std::string run_report(const soc::Scenario& sc, sim::Scheduler scheduler, bool soa,
-                       std::uint32_t shards, const sim::FaultPlan* plan = nullptr,
-                       std::string* error = nullptr) {
+/// The three dispatch paths of `--scheduler`. kSoA leaves the RunSpec at
+/// its default (SoA) dispatch; kStride names the component path
+/// explicitly; kReference keeps the default soa flag, which the per-cycle
+/// oracle must ignore.
+enum class Dispatch { kSoA, kStride, kReference };
+
+TEST(SlotEngine, RunSpecDefaultsToSoADispatch) {
+  const soc::RunSpec spec;
+  EXPECT_TRUE(spec.soa);
+  EXPECT_EQ(spec.scheduler, sim::Scheduler::kStride);
+}
+
+std::string run_report(const soc::Scenario& sc, Dispatch dispatch, std::uint32_t shards,
+                       const sim::FaultPlan* plan = nullptr, std::string* error = nullptr) {
   soc::RunSpec spec;
   spec.label = "soa-prop";
   spec.scenario = sc;
-  spec.scheduler = scheduler;
-  spec.soa = soa;
+  if (dispatch == Dispatch::kStride) spec.soa = false;
+  if (dispatch == Dispatch::kReference) spec.scheduler = sim::Scheduler::kReference;
   spec.shards = shards;
   if (plan != nullptr) spec.fault_plan = *plan;
   const analysis::NetworkReport rep = soc::run_scenario(spec);
@@ -328,12 +340,12 @@ TEST(SlotEngine, RandomizedReportsIdenticalAcrossDispatchModes) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const soc::Scenario sc = random_scenario(seed);
     std::string error;
-    const std::string base = run_report(sc, sim::Scheduler::kStride, false, 1, nullptr, &error);
+    const std::string base = run_report(sc, Dispatch::kStride, 1, nullptr, &error);
     if (!error.empty()) continue; // a draw the allocator cannot schedule
     ++meaningful;
-    EXPECT_EQ(run_report(sc, sim::Scheduler::kReference, false, 1), base) << "seed " << seed;
+    EXPECT_EQ(run_report(sc, Dispatch::kReference, 1), base) << "seed " << seed;
     for (std::uint32_t shards : {1u, 2u, 4u}) {
-      EXPECT_EQ(run_report(sc, sim::Scheduler::kStride, true, shards), base)
+      EXPECT_EQ(run_report(sc, Dispatch::kSoA, shards), base)
           << "seed " << seed << ", " << shards << " shards";
     }
   }
@@ -353,12 +365,11 @@ TEST(SlotEngine, FaultInjectedReportsIdenticalAcrossDispatchModes) {
   plan.seed = 42;
   plan.rate = 0.002;
   std::string error;
-  const std::string base =
-      run_report(sc, sim::Scheduler::kStride, false, 1, &plan, &error);
+  const std::string base = run_report(sc, Dispatch::kStride, 1, &plan, &error);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(run_report(sc, sim::Scheduler::kReference, false, 1, &plan), base);
+  EXPECT_EQ(run_report(sc, Dispatch::kReference, 1, &plan), base);
   for (std::uint32_t shards : {1u, 2u, 4u}) {
-    EXPECT_EQ(run_report(sc, sim::Scheduler::kStride, true, shards, &plan), base)
+    EXPECT_EQ(run_report(sc, Dispatch::kSoA, shards, &plan), base)
         << shards << " shards";
   }
 }

@@ -198,10 +198,14 @@ TEST(DnnRun, ByteIdenticalReportsAcrossExecutionModes) {
                   "run 20000\n");
   ASSERT_TRUE(sc.has_value());
 
-  soc::RunSpec base;
-  base.scenario = *sc;
-  base.seed = 5; // exercise the per-layer traffic shuffle too
+  soc::RunSpec soa;
+  soa.scenario = *sc;
+  soa.seed = 5; // exercise the per-layer traffic shuffle too
 
+  // The per-component stride path; the default SoA dispatch compares
+  // against it.
+  soc::RunSpec base = soa;
+  base.soa = false;
   const std::string reference = soc::run_scenario(base).to_json().dump(2);
   ASSERT_NE(reference.find("\"workload\""), std::string::npos);
   ASSERT_NE(reference.find("\"completed\": true"), std::string::npos);
@@ -210,9 +214,8 @@ TEST(DnnRun, ByteIdenticalReportsAcrossExecutionModes) {
   sharded.shards = 4;
   EXPECT_EQ(soc::run_scenario(sharded).to_json().dump(2), reference);
 
-  soc::RunSpec soa = base;
+  EXPECT_EQ(soc::run_scenario(soa).to_json().dump(2), reference);
   soa.shards = 2;
-  soa.soa = true;
   EXPECT_EQ(soc::run_scenario(soa).to_json().dump(2), reference);
 
   soc::RunSpec oracle = base;

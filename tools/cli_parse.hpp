@@ -13,6 +13,8 @@
 #include <system_error>
 #include <type_traits>
 
+#include "sim/kernel.hpp"
+
 namespace daelite::tools {
 
 /// Parse the ENTIRE token as a base-10 integer of type T. Rejects empty
@@ -41,6 +43,25 @@ inline bool parse_double(std::string_view tok, double* out) {
       std::from_chars(tok.data(), last, v, std::chars_format::fixed);
   if (ec != std::errc{} || ptr != last) return false;
   *out = v;
+  return true;
+}
+
+/// The one dispatch option of daelite_sim and daelite_batch,
+/// `--scheduler soa|stride|reference`, mapped onto the RunSpec fields it
+/// sets. "soa" (the default) is the stride scheduler with batched SoA slot
+/// dispatch; "stride" is the per-component stride dispatch, kept as the
+/// cross-check; "reference" is the per-cycle oracle, which never enables
+/// SoA. Any other value leaves both outputs untouched and returns false.
+inline bool parse_scheduler(std::string_view v, sim::Scheduler* scheduler, bool* soa) {
+  if (v == "soa" || v == "stride") {
+    *scheduler = sim::Scheduler::kStride;
+    *soa = v == "soa";
+  } else if (v == "reference") {
+    *scheduler = sim::Scheduler::kReference;
+    *soa = false;
+  } else {
+    return false;
+  }
   return true;
 }
 

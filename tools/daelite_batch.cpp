@@ -9,14 +9,15 @@
 //   --mesh WxHs,...    add synthetic corner-stress scenarios on these mesh
 //                      sizes (e.g. 3x3,4x4; suffix 't' for torus: 4x4t)
 //   --run-cycles C     override the run length of every job
+//   --scheduler S      dispatch path of every job: soa (default, batched
+//                      SoA slot dispatch via hw::SlotEngine) | stride (the
+//                      per-component cross-check) | reference (the
+//                      per-cycle oracle, never SoA). Byte-identical output
+//                      on all three — only wall-clock time changes
 //   --shards N         intra-simulation shard threads per job (default 1);
 //                      composes with --jobs — N shard workers inside each
 //                      of the concurrently running jobs. Output is
 //                      byte-identical at any --shards value (CI diffs it)
-//   --soa              batched SoA slot dispatch inside every job
-//                      (hw::SlotEngine; stride scheduler only, ignored
-//                      under --scheduler reference). Byte-identical output,
-//                      like --shards — only wall-clock time changes
 //   --recover          arm the self-healing subsystem on every job (dead
 //                      links quarantined, connections re-routed mid-run;
 //                      reports carry a `recovery` section)
@@ -63,9 +64,8 @@ int usage() {
          "  --seeds K        sweep allocation-order seeds 1..K\n"
          "  --mesh WxH[t],.. add synthetic corner-stress scenarios (t = torus)\n"
          "  --run-cycles C   override run length for every job\n"
-         "  --scheduler S    kernel cycle loop: stride (default) | reference\n"
+         "  --scheduler S    dispatch path: soa (default) | stride | reference\n"
          "  --shards N       shard threads inside every job's simulation\n"
-         "  --soa            batched SoA slot dispatch inside every job (stride only)\n"
          "  --trace DIR      one Chrome trace_event file per job in DIR\n"
          "  --fault-seed N   seed for fault injection (with --fault-rate/plan)\n"
          "  --fault-rate R   per-word fault probability in [0,1] on every link\n"
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
   std::optional<sim::Cycle> run_cycles;
   sim::Scheduler scheduler = sim::Scheduler::kStride;
   std::uint32_t shards = 1;
-  bool soa = false;
+  bool soa = true;
   sim::FaultPlan fault_plan;
   bool recover = false;
   bool preempt = false;
@@ -230,20 +230,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--scheduler") == 0) {
       const char* v = need("--scheduler");
       if (!v) return usage();
-      if (std::strcmp(v, "stride") == 0) {
-        scheduler = sim::Scheduler::kStride;
-      } else if (std::strcmp(v, "reference") == 0) {
-        scheduler = sim::Scheduler::kReference;
-      } else {
-        return usage();
-      }
+      if (!tools::parse_scheduler(v, &scheduler, &soa)) return usage();
     } else if (std::strcmp(argv[i], "--shards") == 0) {
       const char* v = need("--shards");
       if (!v) return usage();
       if (!tools::parse_int(v, &shards)) return bad_value("--shards", "an integer", v);
       if (shards == 0) shards = 1;
-    } else if (std::strcmp(argv[i], "--soa") == 0) {
-      soa = true;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       const char* v = need("--trace");
       if (!v) return usage();

@@ -2,7 +2,7 @@
 //
 //   daelite_sim <scenario file> [--vcd out.vcd] [--json out.json]
 //               [--trace out.trace.json] [--per-connection] [--quiet]
-//               [--scheduler stride|reference] [--shards N] [--soa]
+//               [--scheduler soa|stride|reference] [--shards N]
 //               [--fault-seed N] [--fault-rate R] [--fault-plan file]
 //
 // Executes a scenario end to end through soc::run_scenario(): parse,
@@ -15,18 +15,18 @@
 // runner (daelite_batch) emits for whole sweeps. --trace records every
 // hardware event into a bounded ring and writes a Chrome trace_event file
 // (open in chrome://tracing or Perfetto). --per-connection prints the
-// per-connection latency quantile table. --scheduler selects the kernel's
-// cycle loop: the default stride scheduler, or the per-cycle reference
-// loop whose reports and traces must be byte-identical (CI diffs them).
-// --shards N partitions the mesh into N bands of routers/NIs that tick and
-// commit on N threads inside the one simulation (stride scheduler only);
-// every shard count produces byte-identical reports and traces — CI diffs
-// --shards 1 against --shards 4 — so the flag only changes wall-clock time.
-// --soa switches the data path to batched structure-of-arrays slot dispatch
-// (hw::SlotEngine): one engine per shard band forwards the whole slot for
-// all its routers/NIs over flat slot-table pools, skipping idle elements.
-// Like --shards it is byte-identical and stride-only (ignored with
-// --scheduler reference, which stays the per-component oracle).
+// per-connection latency quantile table. --scheduler selects the dispatch
+// path, the one option that does: `soa` (the default) runs the data path as
+// batched structure-of-arrays slot dispatch (hw::SlotEngine) — one engine
+// per shard band forwards the whole slot for all its routers/NIs over flat
+// slot-table pools, skipping idle elements; `stride` is the per-component
+// stride dispatch, kept as the cross-check; `reference` is the per-cycle
+// oracle loop, which never enables SoA. All three produce byte-identical
+// reports, traces and VCDs (CI diffs them). --shards N partitions the mesh
+// into N bands of routers/NIs that tick and commit on N threads inside the
+// one simulation (soa and stride only); every shard count produces
+// byte-identical output — CI diffs --shards 1 against --shards 4 — so the
+// flag only changes wall-clock time.
 // --fault-rate / --fault-plan enable deterministic fault injection on the
 // data and configuration links (see sim/fault.hpp for the plan grammar);
 // the report then carries a `health` section. --recover additionally arms
@@ -61,7 +61,7 @@ namespace {
 int usage() {
   std::cerr << "usage: daelite_sim <scenario file> [--vcd out.vcd] [--json out.json]\n"
                "                   [--trace out.trace.json] [--per-connection] [--quiet]\n"
-               "                   [--scheduler stride|reference] [--shards N] [--soa]\n"
+               "                   [--scheduler soa|stride|reference] [--shards N]\n"
                "                   [--fault-seed N] [--fault-rate R] [--fault-plan file]\n"
                "                   [--recover] [--preempt] [--compact]\n"
                "                   [--watchdog-retries N] [--watchdog-timeout-mult X]\n"
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   bool quiet = false;
   sim::Scheduler scheduler = sim::Scheduler::kStride;
   std::uint32_t shards = 1;
-  bool soa = false;
+  bool soa = true;
   sim::FaultPlan fault_plan;
   bool recover = false;
   bool preempt = false;
@@ -100,21 +100,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--scheduler") == 0 && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "stride") {
-        scheduler = sim::Scheduler::kStride;
-      } else if (v == "reference") {
-        scheduler = sim::Scheduler::kReference;
-      } else {
-        return usage();
-      }
+      if (!tools::parse_scheduler(argv[++i], &scheduler, &soa)) return usage();
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       if (!tools::parse_int(argv[++i], &shards) || shards == 0) {
         std::cerr << "daelite_sim: --shards wants an integer >= 1, got '" << argv[i] << "'\n";
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--soa") == 0) {
-      soa = true;
     } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
       if (!tools::parse_int(argv[++i], &fault_plan.seed)) {
         std::cerr << "daelite_sim: --fault-seed wants an integer, got '" << argv[i] << "'\n";
