@@ -24,18 +24,6 @@
 // the largest quick-mode mesh; the full sweep enforces a 2x floor
 // in-binary.
 //
-// A second sweep measures sharded single-simulation parallelism
-// (Kernel::set_shards / DaeliteNetwork::assign_shards): saturated traffic
-// on large meshes, where every router and NI dispatches at every slot
-// start, timed at shard counts 1/2/4/8 — each point both on the component
-// path and with SoA engines (one per shard band). Every combination must
-// reproduce the shards=1 component digest and word count exactly
-// (sharding and SoA are pure wall-clock optimizations); the full sweep
-// additionally enforces a 2x speedup floor at 32x32 with 4 shards when
-// the machine has >= 4 hardware threads. The speedup curves are exported
-// into BENCH_scale.json (shard_rows), where CI gates the largest
-// quick-mode mesh at >= 1.0x.
-//
 // Usage: bench_scale [--quick] [--json [dir]]
 //   --quick   reduced sweep for CI smoke (fewer/smaller meshes, shorter
 //             runs; the speedup floors are not enforced in-binary — CI
@@ -136,59 +124,9 @@ RunResult run_idle_heavy(sim::Scheduler scheduler, int n, std::uint32_t slots,
   return r;
 }
 
-/// One saturated run for the shard sweep: four corner-to-opposite-corner
-/// connections keep every quadrant's links carrying flits, so no cycle is
-/// quiescent and every router/NI dispatches at every slot start — the wide
-/// parallel region sharding targets. Only the traffic loop is timed
-/// (construction and broadcast-tree configuration are identical work at
-/// every shard count).
-RunResult run_saturated_sharded(std::uint32_t shards, int n, std::uint32_t slots,
-                                sim::Cycle traffic_cycles, bool soa = false) {
-  DaeliteRig rig(n, n, slots, alloc::SlotPolicy::kSpread, 32, sim::Scheduler::kStride);
-  if (shards > 1) rig.net->assign_shards(shards);
-  if (soa) rig.net->enable_soa();
-  const std::pair<int, int> corners[4] = {{0, 0}, {n - 1, 0}, {0, n - 1}, {n - 1, n - 1}};
-  std::vector<hw::ConnectionHandle> hs;
-  for (int i = 0; i < 4; ++i) {
-    const auto& s = corners[i];
-    const auto& d = corners[3 - i];
-    hs.push_back(rig.net->open_connection(
-        rig.connect(rig.mesh.ni(s.first, s.second), {rig.mesh.ni(d.first, d.second)}, 2, 1)));
-  }
-  RunResult r;
-  r.cfg_cycles = rig.net->run_config();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (sim::Cycle c = 0; c < traffic_cycles; ++c) {
-    for (const auto& h : hs) {
-      hw::Ni& src = rig.net->ni(h.conn.request.src_ni);
-      while (src.tx_push(h.src_tx_q, 1)) {
-      }
-    }
-    rig.kernel.step();
-    for (const auto& h : hs) {
-      hw::Ni& dst = rig.net->ni(h.conn.request.dst_nis[0]);
-      while (dst.rx_pop(h.dst_rx_qs[0])) ++r.words;
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  r.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.end_cycle = rig.kernel.now();
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t l = 0; l < rig.mesh.topo.link_count(); ++l) {
-    const topo::Link& link = rig.mesh.topo.link(static_cast<topo::LinkId>(l));
-    h = fnv1a(h, rig.mesh.topo.is_router(link.src)
-                     ? rig.net->router(link.src).forwarded_on(link.src_port)
-                     : rig.net->ni(link.src).stats().link_busy_slots);
-  }
-  r.digest = h;
-  return r;
-}
-
 /// End-to-end runner comparison: same synthetic scenario through every
-/// dispatch mode — per-cycle reference, component stride, SoA, sharded
-/// SoA — and the full NetworkReport JSON must match byte for byte.
+/// dispatch mode — per-cycle reference, component stride, SoA — and the
+/// full NetworkReport JSON must match byte for byte.
 bool reports_identical(int n, std::uint32_t slots, sim::Cycle run_cycles) {
   soc::Scenario sc;
   sc.kind = soc::Scenario::TopologyKind::kMesh;
@@ -200,18 +138,15 @@ bool reports_identical(int n, std::uint32_t slots, sim::Cycle run_cycles) {
                     std::numeric_limits<double>::infinity()});
   sc.raw.push_back({"c1", {n - 1, 0}, {{0, n - 1}}, 100.0, 0.0,
                     std::numeric_limits<double>::infinity()});
-  const auto run = [&](sim::Scheduler scheduler, bool soa, std::uint32_t shards) {
+  const auto run = [&](sim::Scheduler scheduler, bool soa) {
     soc::RunSpec spec;
     spec.scenario = sc;
     spec.scheduler = scheduler;
     spec.soa = soa;
-    spec.shards = shards;
     return soc::run_scenario(spec).to_json().dump(2);
   };
-  const std::string ref = run(sim::Scheduler::kReference, false, 1);
-  return run(sim::Scheduler::kStride, false, 1) == ref &&
-         run(sim::Scheduler::kStride, true, 1) == ref &&
-         run(sim::Scheduler::kStride, true, 2) == ref;
+  const std::string ref = run(sim::Scheduler::kReference, false);
+  return run(sim::Scheduler::kStride, false) == ref && run(sim::Scheduler::kStride, true) == ref;
 }
 
 } // namespace
@@ -296,64 +231,8 @@ int main(int argc, char** argv) {
                "pools and skips elements whose links are provably idle that slot.\n";
 
   const bool report_ok = reports_identical(8, 16, quick ? 2000 : 10000);
-  std::cout << "8x8 end-to-end NetworkReport JSON (reference vs stride vs soa vs soa+shards): "
+  std::cout << "8x8 end-to-end NetworkReport JSON (reference vs stride vs soa): "
             << (report_ok ? "identical" : "DIFFERENT") << "\n";
-
-  // --- Shard sweep: saturated big meshes at 1/2/4/8 shards -------------------
-  const std::vector<int> shard_meshes = quick ? std::vector<int>{8, 16}
-                                              : std::vector<int>{16, 32, 64};
-  const std::vector<std::uint32_t> shard_counts{1, 2, 4, 8};
-  const sim::Cycle shard_traffic = quick ? 600 : 1200;
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-
-  TextTable ts("Sharded single-simulation parallelism, saturated runs (" +
-               std::to_string(shard_traffic) + " traffic cycles, " +
-               std::to_string(hw_threads) + " hardware threads)");
-  ts.set_header({"mesh", "shards", "time (ms)", "soa (ms)", "speedup", "soa speedup",
-                 "identical"});
-
-  JsonValue jshard = JsonValue::array();
-  bool shards_identical = true;
-  double shard_speedup_32_s4 = 0.0;
-  for (int n : shard_meshes) {
-    RunResult base;
-    for (std::uint32_t shards : shard_counts) {
-      // Warm-up pass stabilises allocator/CPU caches before timing.
-      (void)run_saturated_sharded(shards, n, 16, shard_traffic / 10);
-      const RunResult r = run_saturated_sharded(shards, n, 16, shard_traffic);
-      const RunResult a = run_saturated_sharded(shards, n, 16, shard_traffic, /*soa=*/true);
-      if (shards == 1) base = r;
-      const bool same = r.words == base.words && r.cfg_cycles == base.cfg_cycles &&
-                        r.end_cycle == base.end_cycle && r.digest == base.digest &&
-                        a.words == base.words && a.cfg_cycles == base.cfg_cycles &&
-                        a.end_cycle == base.end_cycle && a.digest == base.digest;
-      shards_identical = shards_identical && same;
-      const double speedup = r.ms > 0.0 ? base.ms / r.ms : 0.0;
-      const double soa_speedup = a.ms > 0.0 ? base.ms / a.ms : 0.0;
-      if (n == 32 && shards == 4) shard_speedup_32_s4 = speedup;
-
-      ts.add_row({std::to_string(n) + "x" + std::to_string(n), std::to_string(shards),
-                  fmt(r.ms, 2), fmt(a.ms, 2), fmt(speedup, 2) + "x", fmt(soa_speedup, 2) + "x",
-                  same ? "yes" : "NO"});
-
-      JsonValue row = JsonValue::object();
-      row["mesh"] = n;
-      row["shards"] = shards;
-      row["traffic_cycles"] = shard_traffic;
-      row["words_delivered"] = r.words;
-      row["ms"] = r.ms;
-      row["soa_ms"] = a.ms;
-      row["speedup"] = speedup;
-      row["soa_speedup"] = soa_speedup;
-      row["identical"] = same;
-      jshard.push_back(std::move(row));
-    }
-  }
-  ts.print(std::cout);
-  std::cout << "Sharding splits each slot start's mesh-wide dispatch across threads\n"
-               "inside one kernel; the TDM schedule guarantees one slot of lookahead\n"
-               "on every cross-shard link, so every shard count is byte-identical.\n"
-               "The soa column runs one SlotEngine per shard band on top.\n";
 
   const std::string json_path = bench::json_out_path(argc, argv, "scale");
   if (!json_path.empty()) {
@@ -364,10 +243,7 @@ int main(int argc, char** argv) {
     doc["soa_speedup_8x8_s16"] = soa_speedup_8x8;
     doc["soa_identical"] = soa_identical;
     doc["reports_identical_8x8"] = report_ok;
-    doc["shard_rows"] = std::move(jshard);
-    doc["shards_identical"] = shards_identical;
-    doc["shard_speedup_32x32_s4"] = shard_speedup_32_s4;
-    doc["hardware_threads"] = static_cast<std::uint64_t>(hw_threads);
+    doc["hardware_threads"] = static_cast<std::uint64_t>(std::thread::hardware_concurrency());
     if (!bench::write_bench_json(json_path, "scale", std::move(doc))) return 1;
   }
 
@@ -379,24 +255,12 @@ int main(int argc, char** argv) {
     std::cerr << "bench_scale: SoA outputs differ from the component path\n";
     return 1;
   }
-  if (!shards_identical) {
-    std::cerr << "bench_scale: sharded outputs differ from shards=1\n";
-    return 1;
-  }
   if (!quick && speedup_8x8 < 2.0) {
     std::cerr << "bench_scale: 8x8 idle-heavy speedup " << speedup_8x8 << "x below the 2x floor\n";
     return 1;
   }
   if (!quick && soa_speedup_8x8 < 2.0) {
     std::cerr << "bench_scale: 8x8 SoA speedup " << soa_speedup_8x8 << "x below the 2x floor\n";
-    return 1;
-  }
-  // The shard floor is gated on real parallel hardware: correctness (the
-  // identity checks above) holds on any machine, but a 1-core box cannot
-  // demonstrate speedup.
-  if (!quick && hw_threads >= 4 && shard_speedup_32_s4 < 2.0) {
-    std::cerr << "bench_scale: 32x32 sharded speedup " << shard_speedup_32_s4
-              << "x below the 2x floor (4 shards, " << hw_threads << " hw threads)\n";
     return 1;
   }
   return 0;

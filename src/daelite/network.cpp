@@ -322,49 +322,22 @@ std::uint64_t DaeliteNetwork::total_protocol_errors() const {
   return n;
 }
 
-// --- Sharded execution ---------------------------------------------------------------
-
-void DaeliteNetwork::assign_shards(std::uint32_t shards) {
-  kernel_->set_shards(shards);
-  shards = kernel_->shards(); // after clamping
-  if (shards <= 1) {
-    for (auto& [id, r] : routers_) kernel_->assign_shard(*r, sim::Kernel::kNoShard);
-    for (auto& [id, ni] : nis_) kernel_->assign_shard(*ni, sim::Kernel::kNoShard);
-    return;
-  }
-  const std::size_t n = topo_->node_count();
-  for (topo::NodeId id = 0; id < n; ++id) {
-    const auto s = static_cast<std::uint32_t>(static_cast<std::uint64_t>(id) * shards / n);
-    if (topo_->is_router(id)) {
-      kernel_->assign_shard(*routers_.at(id), s);
-    } else {
-      kernel_->assign_shard(*nis_.at(id), s);
-    }
-  }
-}
+// --- SoA dispatch --------------------------------------------------------------------
 
 bool DaeliteNetwork::enable_soa() {
   if (kernel_->scheduler() == sim::Scheduler::kReference) return false;
-  if (!engines_.empty()) return true;
-  const std::uint32_t bands = std::max<std::uint32_t>(1, kernel_->shards());
-  const std::size_t n = topo_->node_count();
-  // One engine per shard band, covering the same contiguous node-id range
-  // assign_shards() uses, so sharded SoA runs keep the band partition.
-  for (std::uint32_t b = 0; b < bands; ++b) {
-    auto engine =
-        std::make_unique<SlotEngine>(*kernel_, "soa" + std::to_string(b), options_.tdm);
-    for (topo::NodeId id = 0; id < n; ++id) {
-      if (static_cast<std::uint32_t>(static_cast<std::uint64_t>(id) * bands / n) != b) continue;
-      if (topo_->is_router(id)) {
-        engine->add_router(*routers_.at(id));
-      } else {
-        engine->add_ni(*nis_.at(id));
-      }
+  if (engine_ != nullptr) return true;
+  // Elements join in ascending node id, the registration order the
+  // engine's staged trace records must follow.
+  engine_ = std::make_unique<SlotEngine>(*kernel_, "soa", options_.tdm);
+  for (topo::NodeId id = 0; id < topo_->node_count(); ++id) {
+    if (topo_->is_router(id)) {
+      engine_->add_router(*routers_.at(id));
+    } else {
+      engine_->add_ni(*nis_.at(id));
     }
-    if (engine->element_count() == 0) continue;
-    engine->finalize(b);
-    engines_.push_back(std::move(engine));
   }
+  engine_->finalize();
   return true;
 }
 

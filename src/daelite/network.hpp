@@ -131,32 +131,18 @@ class DaeliteNetwork {
   std::uint64_t total_corrupt_words() const;
   std::uint64_t total_lost_words() const;
 
-  // --- Sharded execution -------------------------------------------------------
-
-  /// Partition the mesh for sharded single-run parallelism: configure the
-  /// kernel for `shards` worker shards and assign every router and NI to a
-  /// contiguous band of node ids (row-major meshes shard into row bands, so
-  /// most links stay shard-internal and only band-boundary links cross).
-  /// Only the data-path elements are sharded — their ticks read committed
-  /// link registers and write their own state, the contract sharded
-  /// components must obey (sim/kernel.hpp). Config agents, the config
-  /// module, and any injector/monitor stay in the kernel's serial set,
-  /// preserving their single-threaded dispatch and commit order. shards <= 1
-  /// restores fully serial execution. Reports and traces are byte-identical
-  /// for every shard count; only wall-clock time changes.
-  void assign_shards(std::uint32_t shards);
+  // --- SoA dispatch ------------------------------------------------------------
 
   /// Switch the data path to batched SoA slot dispatch (hw::SlotEngine):
-  /// one engine per shard band (one total when unsharded) takes over
-  /// ticking and committing the band's routers and NIs over flat slot-
-  /// table pools, with idle elements skipped outright. Byte-identical
-  /// reports and traces; only wall-clock time changes. Call after
-  /// assign_shards() and before running traffic or attaching an
-  /// injector/monitor. Returns false (and changes nothing) under the
-  /// reference scheduler, which ignores suspension — the oracle stays
-  /// per-component. Idempotent.
+  /// one engine takes over ticking and committing every router and NI
+  /// over flat slot-table pools, with idle elements skipped outright.
+  /// Byte-identical reports and traces; only wall-clock time changes.
+  /// Call before running traffic or attaching an injector/monitor.
+  /// Returns false (and changes nothing) under the reference scheduler,
+  /// which ignores suspension — the oracle stays per-component.
+  /// Idempotent.
   bool enable_soa();
-  bool soa_enabled() const { return !engines_.empty(); }
+  bool soa_enabled() const { return engine_ != nullptr; }
 
   // --- Fault injection ---------------------------------------------------------
 
@@ -183,10 +169,10 @@ class DaeliteNetwork {
   std::map<topo::NodeId, std::unique_ptr<Router>> routers_;
   std::map<topo::NodeId, std::unique_ptr<Ni>> nis_;
   std::unique_ptr<ConfigModule> config_module_;
-  /// Batched dispatch engines (enable_soa), one per shard band. Declared
-  /// after the elements so they are destroyed first — their slot-table
-  /// pools outlive every rebound table.
-  std::vector<std::unique_ptr<SlotEngine>> engines_;
+  /// Batched dispatch engine (enable_soa). Declared after the elements so
+  /// it is destroyed first — its slot-table pools outlive every rebound
+  /// table.
+  std::unique_ptr<SlotEngine> engine_;
 
   std::map<topo::NodeId, std::vector<bool>> tx_queue_used_;
   std::map<topo::NodeId, std::vector<bool>> rx_queue_used_;

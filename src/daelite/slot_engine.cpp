@@ -37,7 +37,7 @@ void SlotEngine::add_ni(Ni& n) {
   items_.push_back(it);
 }
 
-void SlotEngine::finalize(std::uint32_t shard) {
+void SlotEngine::finalize() {
   assert(!finalized_);
   finalized_ = true;
   const std::size_t slots = params_.num_slots;
@@ -78,8 +78,7 @@ void SlotEngine::finalize(std::uint32_t shard) {
         it.ni != nullptr ? static_cast<sim::Component*>(it.ni) : routers_[it.lane].r;
     kernel().suspend(*c);
   }
-  kernel().set_dispatch_weight(*this, static_cast<std::uint32_t>(items_.size()));
-  kernel().assign_shard(*this, shard);
+  kernel().dispatch_first(*this);
   ticked_.reserve(items_.size());
 }
 

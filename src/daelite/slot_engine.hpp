@@ -1,15 +1,15 @@
 #pragma once
 // Batched slot dispatch over structure-of-arrays slot-table pools.
 //
-// After the stride scheduler (PR 3) and sharding (PR 6), the remaining
-// per-slot cost is virtual tick() dispatch over pointer-chased per-router
-// state: every router and NI is its own Component, each tick re-derives
-// the slot, walks its own heap-allocated slot table, and re-writes its
-// output registers even when the whole neighbourhood is idle.
+// Under the stride scheduler, the remaining per-slot cost is
+// virtual tick() dispatch over pointer-chased per-router state: every
+// router and NI is its own Component, each tick re-derives the slot,
+// walks its own heap-allocated slot table, and re-writes its output
+// registers even when the whole neighbourhood is idle.
 //
-// A SlotEngine replaces per-component dispatch for one band of elements
-// (routers + NIs in ascending node-id order — one band per shard, the
-// same contiguous partition assign_shards() uses). At finalize():
+// A SlotEngine replaces per-component dispatch for every router and NI of
+// a network (DaeliteNetwork::enable_soa builds exactly one, with the
+// elements in ascending node-id order). At finalize():
 //
 //  * every router slot table and NI tx/rx table is rebound into flat
 //    pools owned by the engine (tdm::*SlotTable::rebind) — one
@@ -19,13 +19,12 @@
 //  * the elements are suspended (Kernel::suspend): the engine, a single
 //    Component with the same words_per_slot cadence, ticks and commits
 //    on their behalf;
-//  * the engine enters the kernel's staged dispatch path
-//    (Kernel::assign_shard + set_dispatch_weight), which runs
-//    shard-assigned work before the serial set — preserving the
-//    element-before-config-agent tick order the serial loop has, and
-//    merging relayed trace records (Kernel::trace_as/set_stage_key)
-//    back at each element's registration index for byte-identical
-//    traces.
+//  * the engine is marked Kernel::dispatch_first, so it ticks and
+//    commits before the serial set (config agents, shells, fault
+//    injector, health monitor) — preserving the element-before-config-
+//    agent tick order the index-order loop has — and the trace records
+//    it relays (Kernel::trace_as/set_stage_key) merge back at each
+//    element's registration index for byte-identical traces.
 //
 // The win is twofold. Dispatch cost: router forwarding is one inlined
 // loop over the pools instead of a virtual call per element. Skip cost:
@@ -64,14 +63,14 @@ class SlotEngine final : public sim::Component {
   /// Add elements in ascending kernel-registration order (ascending node
   /// id): relayed trace records stage under each element's registration
   /// index, and the staged buffer must stay ascending for the kernel's
-  /// k-way merge. Call before finalize(); elements must be fully wired.
+  /// merge. Call before finalize(); elements must be fully wired.
   void add_router(Router& r);
   void add_ni(Ni& n);
 
   /// Build the pools, rebind every added element's slot tables into
-  /// them, suspend the elements, and enter the kernel's staged dispatch
-  /// path on `shard`. Call once, before the simulation runs traffic.
-  void finalize(std::uint32_t shard);
+  /// them, suspend the elements, and have the kernel dispatch this engine
+  /// first. Call once, before the simulation runs traffic.
+  void finalize();
 
   std::size_t element_count() const { return items_.size(); }
 
@@ -81,7 +80,7 @@ class SlotEngine final : public sim::Component {
   /// commit would); skipped elements have nothing to latch.
   void commit() override;
   /// Quiescent iff every covered element is — the engine answers the
-  /// kernel's whole-network fast-forward for its suspended band.
+  /// kernel's whole-network fast-forward for its suspended elements.
   bool quiescent() const override;
 
  private:

@@ -138,10 +138,10 @@ class Component {
   /// Append a structured trace record under this component's name. With no
   /// tracer attached (or a disabled one) this is a branch or two and no
   /// stores — cheap enough to leave in every model's hot path. The enabled
-  /// path goes through the kernel so records emitted inside a sharded
-  /// parallel phase are staged per thread and merged back in registration
-  /// order (Kernel::record_trace), keeping traces byte-identical across
-  /// shard counts.
+  /// path goes through the kernel so records emitted while a batched
+  /// engine ticks are staged and merged back in registration order
+  /// (Kernel::record_trace), keeping traces byte-identical to
+  /// per-component dispatch.
   void trace(TraceEvent event, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) const {
     Tracer* t = kernel_->tracer();
     if (t == nullptr || !t->enabled()) return;
@@ -173,8 +173,7 @@ class Component {
   std::vector<RegBase*> regs_;
   Cadence cadence_;
   std::uint32_t index_ = 0;    ///< slot in the kernel's registry
-  std::uint32_t shard_ = Kernel::kNoShard; ///< serial set unless assigned
-  std::uint32_t weight_ = 1;   ///< staged-path width contribution (elements covered)
+  bool first_ = false;         ///< Kernel::dispatch_first(): ticks/commits before the rest
   bool active_ = true;         ///< false while suspended/sleeping
   bool touch_pending_ = false; ///< external write awaiting end-of-cycle commit
   Cycle wake_at_ = kNoCycle;

@@ -9,31 +9,12 @@
 
 namespace daelite::sim {
 
-namespace {
-
-/// Per-thread dispatch context for trace staging. While a dispatch loop is
-/// running with staging enabled, `stage` points at the buffer records park
-/// in and `key` is the registration index of the component currently being
-/// dispatched (the merge key — an agent relaying a record through its host
-/// element stages under the agent's slot, exactly where the record lands in
-/// a serial run). Thread-local so every shard worker stages into its own
-/// buffer with no synchronization on the hot path.
-struct DispatchCtx {
-  std::vector<Kernel::StagedTrace>* stage = nullptr;
-  std::uint32_t key = 0;
-};
-thread_local DispatchCtx tls_dispatch;
-
-} // namespace
-
 Kernel::~Kernel() {
-  stop_workers();
   for (Component* c : components_)
     if (c != nullptr) c->kernel_ = nullptr;
 }
 
 void Kernel::add(Component* c) {
-  assert(!in_parallel_ && "components may not be constructed inside a parallel phase");
   c->index_ = static_cast<std::uint32_t>(components_.size());
   components_.push_back(c);
   ++live_count_;
@@ -41,7 +22,6 @@ void Kernel::add(Component* c) {
 }
 
 void Kernel::remove(Component* c) {
-  assert(!in_parallel_ && "components may not be destroyed inside a parallel phase");
   const std::uint32_t i = c->index_;
   if (i >= components_.size() || components_[i] != c) return;
   components_[i] = nullptr; // tombstone; swept between cycles
@@ -53,32 +33,19 @@ void Kernel::remove(Component* c) {
 
 void Kernel::notify_external_write(Component* c) {
   if (scheduler_ == Scheduler::kReference) return; // commits every cycle anyway
-  assert(!in_parallel_ && "external_write() is a serial-phase service");
   if (c->touch_pending_) return;
   c->touch_pending_ = true;
   touched_.push_back(c->index_);
 }
 
-void Kernel::set_shards(std::uint32_t n) {
-  if (scheduler_ == Scheduler::kReference) return; // oracle stays serial
-  n = std::clamp<std::uint32_t>(n, 1, 64);
-  if (n == shards_) return;
-  stop_workers();
-  shards_ = n;
-  stage_.assign(static_cast<std::size_t>(shards_) + 1, {}); // + the serial buffer
-  schedule_dirty_ = true;
-}
-
-void Kernel::assign_shard(Component& c, std::uint32_t shard) {
-  assert(!in_parallel_);
-  if (c.shard_ == shard) return;
-  c.shard_ = shard;
+void Kernel::dispatch_first(Component& c) {
+  if (c.first_) return;
+  c.first_ = true;
   schedule_dirty_ = true;
 }
 
 void Kernel::sleep_component(Component& c, Cycle wake_at) {
   if (scheduler_ == Scheduler::kReference) return;
-  assert(!in_parallel_ && "sleep()/suspend() are serial-phase services");
   // Waking happens at the start of the next step, so a wake this cycle or
   // the next would never skip a dispatch: don't churn the schedule.
   if (wake_at != kNoCycle && wake_at <= now_ + 1) return;
@@ -93,7 +60,6 @@ void Kernel::sleep_component(Component& c, Cycle wake_at) {
 
 void Kernel::wake(Component& c) {
   if (scheduler_ == Scheduler::kReference) return;
-  assert(!in_parallel_ && "wake() is a serial-phase service");
   if (c.active_) return;
   c.active_ = true;
   c.wake_at_ = kNoCycle;
@@ -131,47 +97,22 @@ void Kernel::rebuild_schedule() {
     if (l <= kMaxPeriod) period_ = l;
   }
   due_.assign(period_, {});
+  first_count_.assign(period_, 0);
   guarded_.clear();
   for (std::uint32_t i = 0; i < components_.size(); ++i) {
     const Component* c = components_[i];
     if (c == nullptr || !c->active_) continue;
     const Cycle s = c->cadence_.stride;
-    if (period_ % s == 0) {
-      for (Cycle r = c->cadence_.phase % s; r < period_; r += s) due_[r].push_back(i);
-    } else {
+    if (period_ % s != 0) {
       guarded_.push_back(i); // stride overflowed the period cap: check per cycle
+      continue;
     }
-  }
-  // Shard partition of the due table. Guarded components always dispatch
-  // serially (their per-cycle residue check keeps them off the wide path);
-  // a shard id beyond the current shard count folds in, so a partition
-  // computed for more shards than configured still distributes evenly.
-  // The partition also exists at shards_ == 1 when a component is
-  // shard-assigned (a batched engine): its dispatch then runs inline
-  // before the serial set, the order the staged path guarantees.
-  bool any_assigned = shards_ > 1;
-  for (const Component* c : components_) {
-    if (any_assigned) break;
-    any_assigned = c != nullptr && c->active_ && c->shard_ != kNoShard;
-  }
-  has_partition_ = any_assigned;
-  if (has_partition_) {
-    if (stage_.size() != static_cast<std::size_t>(shards_) + 1) {
-      stage_.assign(static_cast<std::size_t>(shards_) + 1, {}); // + the serial buffer
-    }
-    due_shard_.assign(static_cast<std::size_t>(period_) * shards_, {});
-    due_shard_weight_.assign(static_cast<std::size_t>(period_) * shards_, 0);
-    due_serial_.assign(period_, {});
-    for (Cycle r = 0; r < period_; ++r) {
-      for (std::uint32_t i : due_[r]) {
-        const std::uint32_t s = components_[i]->shard_;
-        if (s == kNoShard) {
-          due_serial_[r].push_back(i);
-        } else {
-          const std::size_t slot = static_cast<std::size_t>(r) * shards_ + s % shards_;
-          due_shard_[slot].push_back(i);
-          due_shard_weight_[slot] += components_[i]->weight_;
-        }
+    for (Cycle r = c->cadence_.phase % s; r < period_; r += s) {
+      std::vector<std::uint32_t>& list = due_[r];
+      if (c->first_) {
+        list.insert(list.begin() + first_count_[r]++, i);
+      } else {
+        list.push_back(i);
       }
     }
   }
@@ -220,17 +161,8 @@ Cycle Kernel::next_due_cycle(Cycle from, Cycle limit) const {
   return best;
 }
 
-void Kernel::record_trace(const Component& c, Tracer& t, TraceEvent event, std::uint64_t arg0,
+void Kernel::append_trace(const Component& c, Tracer& t, TraceEvent event, std::uint64_t arg0,
                           std::uint64_t arg1) {
-  if (tls_dispatch.stage != nullptr) {
-    // Inside a staged dispatch loop (any phase of a sharded cycle): park
-    // the record; flush_staged_traces() interns and appends it on the
-    // driving thread once the phase joins. Contract: the emitter pointer
-    // must stay valid to the end of the cycle (destroying a component that
-    // traced earlier in the same sharded cycle is unsupported).
-    tls_dispatch.stage->push_back({tls_dispatch.key, &c, event, arg0, arg1});
-    return;
-  }
   if (c.trace_owner_ != &t) { // interned id is per-tracer; revalidate on swap
     c.trace_id_ = t.intern(c.name_);
     c.trace_owner_ = &t;
@@ -238,153 +170,49 @@ void Kernel::record_trace(const Component& c, Tracer& t, TraceEvent event, std::
   t.record(now_, c.trace_id_, event, arg0, arg1);
 }
 
+void Kernel::stage_trace(std::uint32_t key, const Component& c, TraceEvent event,
+                         std::uint64_t arg0, std::uint64_t arg1) {
+  // Contract: the emitter stays valid to the end of the cycle, and the
+  // first-dispatched ticks stage in ascending key order (an engine walks
+  // its elements in registration order), so one forward pass merges.
+  assert(staged_.empty() || staged_.back().key <= key);
+  staged_.push_back({key, &c, event, arg0, arg1});
+}
+
+void Kernel::record_trace(const Component& c, Tracer& t, TraceEvent event, std::uint64_t arg0,
+                          std::uint64_t arg1) {
+  if (staging_) {
+    stage_trace(stage_key_, c, event, arg0, arg1);
+    return;
+  }
+  append_trace(c, t, event, arg0, arg1);
+}
+
 void Kernel::trace_as(const Component& as, TraceEvent event, std::uint64_t arg0,
                       std::uint64_t arg1) {
   Tracer* t = tracer_;
   if (t == nullptr || !t->enabled()) return;
-  if (tls_dispatch.stage != nullptr) {
+  if (staging_) {
     // Staged under the element's own registration index, not the key of
     // the engine currently dispatching: the record merges exactly where
-    // the element's own trace() would have landed in a serial run.
-    tls_dispatch.stage->push_back({as.index_, &as, event, arg0, arg1});
+    // the element's own trace() would have landed in index order.
+    stage_trace(as.index_, as, event, arg0, arg1);
     return;
   }
-  if (as.trace_owner_ != t) {
-    as.trace_id_ = t->intern(as.name_);
-    as.trace_owner_ = t;
-  }
-  t->record(now_, as.trace_id_, event, arg0, arg1);
+  append_trace(as, *t, event, arg0, arg1);
 }
 
 void Kernel::set_stage_key(const Component& c) {
-  if (tls_dispatch.stage != nullptr) tls_dispatch.key = c.index_;
+  if (staging_) stage_key_ = c.index_;
 }
 
-void Kernel::set_dispatch_weight(Component& c, std::uint32_t weight) {
-  const std::uint32_t w = std::max<std::uint32_t>(1, weight);
-  if (c.weight_ == w) return;
-  c.weight_ = w;
-  schedule_dirty_ = true;
-}
-
-void Kernel::flush_staged_traces() {
-  const std::size_t nb = stage_.size();
-  bool any = false;
-  for (const auto& b : stage_) any = any || !b.empty();
-  if (!any) return;
-  Tracer* t = tracer_;
-  // k-way merge ascending by key. Every buffer is already ascending (each
-  // dispatch list is ascending by registration index) and a key appears in
-  // exactly one buffer (one component dispatches in exactly one list), so
-  // the merged stream is the serial dispatch order — records AND first-use
-  // interning land byte-identically to an unsharded run.
-  std::vector<std::size_t> cur(nb, 0);
-  for (;;) {
-    std::size_t best = nb;
-    std::uint32_t best_key = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (cur[b] >= stage_[b].size()) continue;
-      const std::uint32_t k = stage_[b][cur[b]].key;
-      if (best == nb || k < best_key) {
-        best = b;
-        best_key = k;
-      }
-    }
-    if (best == nb) break;
-    const StagedTrace& s = stage_[best][cur[best]++];
-    if (t != nullptr) {
-      if (s.emitter->trace_owner_ != t) {
-        s.emitter->trace_id_ = t->intern(s.emitter->name_);
-        s.emitter->trace_owner_ = t;
-      }
-      t->record(now_, s.emitter->trace_id_, s.event, s.arg0, s.arg1);
-    }
+void Kernel::flush_staged(std::size_t* next, std::uint32_t key_limit) {
+  std::size_t k = *next;
+  for (; k < staged_.size() && staged_[k].key < key_limit; ++k) {
+    const StagedTrace& s = staged_[k];
+    if (tracer_ != nullptr) append_trace(*s.emitter, *tracer_, s.event, s.arg0, s.arg1);
   }
-  for (auto& b : stage_) b.clear();
-}
-
-void Kernel::run_shard_list(const std::vector<std::uint32_t>& list, int phase,
-                            std::vector<StagedTrace>* stage) {
-  tls_dispatch.stage = stage;
-  if (phase == 0) {
-    for (std::uint32_t i : list) {
-      Component* c = components_[i];
-      if (c != nullptr) {
-        tls_dispatch.key = i;
-        c->tick();
-      }
-    }
-  } else {
-    for (std::uint32_t i : list) {
-      Component* c = components_[i];
-      if (c != nullptr) {
-        tls_dispatch.key = i;
-        c->commit();
-        c->touch_pending_ = false;
-      }
-    }
-  }
-  tls_dispatch.stage = nullptr;
-}
-
-void Kernel::start_workers() {
-  if (workers_.size() + 1 == shards_) return;
-  stop_workers();
-  workers_.reserve(shards_ - 1);
-  for (std::uint32_t s = 1; s < shards_; ++s) {
-    workers_.emplace_back([this, s] { worker_loop(s); });
-  }
-}
-
-void Kernel::stop_workers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    pool_stop_ = true;
-  }
-  pool_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
-  pool_stop_ = false;
-}
-
-void Kernel::worker_loop(std::uint32_t shard) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    int phase;
-    const std::vector<std::uint32_t>* list;
-    {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      pool_cv_.wait(lk, [&] { return pool_stop_ || round_ != seen; });
-      if (pool_stop_) return;
-      seen = round_;
-      phase = round_phase_;
-      list = &round_lists_[shard];
-    }
-    run_shard_list(*list, phase, &stage_[shard]);
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      --round_remaining_;
-    }
-    done_cv_.notify_one();
-  }
-}
-
-void Kernel::run_parallel_round(int phase) {
-  in_parallel_ = true;
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    round_phase_ = phase;
-    round_remaining_ = shards_ - 1;
-    ++round_; // publishes round_lists_/phase to the workers (mutex ordering)
-  }
-  pool_cv_.notify_all();
-  run_shard_list(round_lists_[0], phase, &stage_[0]); // driver is shard 0
-  {
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    done_cv_.wait(lk, [&] { return round_remaining_ == 0; });
-  }
-  in_parallel_ = false;
+  *next = k;
 }
 
 void Kernel::step_reference() {
@@ -416,34 +244,46 @@ void Kernel::step_stride() {
   }
 
   const std::size_t r = static_cast<std::size_t>(now_ % period_);
-
-  // Any cycle with shard-assigned work due goes through the staged path
-  // (shard lists before the serial set — required for batched engines,
-  // byte-identical for plain sharded components). The worker pool engages
-  // only when the wide TDM dispatch (the whole mesh due at a slot start)
-  // offers enough weighted work per shard to amortize the round
-  // handshake; narrow cycles run the shard lists inline on the driver.
-  if (has_partition_) {
-    std::size_t weighted = 0;
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      weighted += due_shard_weight_[r * shards_ + s];
-    }
-    if (weighted > 0) {
-      step_stride_staged(r, shards_ > 1 && weighted >= static_cast<std::size_t>(shards_) * 2);
-      return;
-    }
-  }
-
   const std::vector<std::uint32_t>& due = due_[r];
-  for (std::uint32_t i : due) {
+  const std::size_t nfirst = first_count_[r];
+
+  // First-dispatched components (a batched engine) tick before the rest,
+  // with their records staged. The rest record directly; before each of
+  // them ticks, the staged records keyed below its index are appended, so
+  // the cycle's records land in registration order — the two streams
+  // merge exactly as per-component dispatch in index order would emit them.
+  if (nfirst > 0) {
+    staging_ = true;
+    for (std::size_t k = 0; k < nfirst; ++k) {
+      Component* c = components_[due[k]];
+      if (c != nullptr) {
+        stage_key_ = due[k];
+        c->tick();
+      }
+    }
+    staging_ = false;
+  }
+  std::size_t next_staged = 0;
+  for (std::size_t k = nfirst; k < due.size(); ++k) {
+    const std::uint32_t i = due[k];
+    if (next_staged < staged_.size()) flush_staged(&next_staged, i);
     Component* c = components_[i];
     if (c != nullptr) c->tick();
   }
+  if (!staged_.empty()) {
+    flush_staged(&next_staged, kNoKey);
+    staged_.clear();
+  }
+  // Guarded components tick after every scheduled one, as in index order.
   for (std::uint32_t i : guarded_due_) {
     Component* c = components_[i];
     if (c != nullptr) c->tick();
   }
 
+  // Commit in the same order: first-dispatched latches, then the rest,
+  // whose cross-component commits (the fault injector corrupting
+  // committed link registers, the health monitor sampling them) observe
+  // every latch exactly as when they commit last in index order.
   for (std::uint32_t i : due) {
     Component* c = components_[i];
     if (c != nullptr) {
@@ -461,83 +301,6 @@ void Kernel::step_stride() {
   // Externally mutated components commit at the end of the cycle of the
   // mutation, exactly as under the reference scheduler. Index loop: ticks
   // above may have appended (shells pushing into NI queues).
-  for (std::size_t k = 0; k < touched_.size(); ++k) {
-    Component* c = components_[touched_[k]];
-    if (c != nullptr && c->touch_pending_) {
-      c->commit();
-      c->touch_pending_ = false;
-    }
-  }
-  touched_.clear();
-
-  if (has_tombstones_) sweep_tombstones();
-  ++now_;
-}
-
-void Kernel::step_stride_staged(std::size_t r, bool use_pool) {
-  // Tick phase. Parallel ticks are safe because sharded components read
-  // only state committed at the previous edge (nothing writes committed
-  // state during tick) and write only their own next-state; serial ticks
-  // run after the join, preserving every host-element/agent ordering the
-  // single-threaded loop has (a serial agent mutating its sharded host is
-  // observed by the host only next cycle, exactly as in index order).
-  // Without the pool the same shard lists run inline on the driver —
-  // identical order and staging, no handshake.
-  if (use_pool) {
-    start_workers();
-    round_lists_ = &due_shard_[r * shards_];
-    run_parallel_round(0);
-  } else {
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      run_shard_list(due_shard_[r * shards_ + s], 0, &stage_[s]);
-    }
-  }
-  const std::vector<std::uint32_t>& serial = due_serial_[r];
-  tls_dispatch.stage = &stage_[shards_];
-  for (std::uint32_t i : serial) {
-    Component* c = components_[i];
-    if (c != nullptr) {
-      tls_dispatch.key = i;
-      c->tick();
-    }
-  }
-  tls_dispatch.stage = nullptr;
-  flush_staged_traces();
-  // Guarded components tick after every scheduled one in the serial loop
-  // too, so recording directly (post-merge) preserves the record order.
-  for (std::uint32_t i : guarded_due_) {
-    Component* c = components_[i];
-    if (c != nullptr) c->tick();
-  }
-
-  // Commit phase. Parallel commits are the default register latch (the
-  // sharded-component contract), touching only the component's own state;
-  // overriding commits with cross-component behaviour — the fault injector
-  // corrupting committed link registers, the health monitor sampling them —
-  // live in the serial set and run after the join, so they observe every
-  // latch exactly as they do when they commit last in index order.
-  if (use_pool) {
-    run_parallel_round(1);
-  } else {
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      run_shard_list(due_shard_[r * shards_ + s], 1, &stage_[s]);
-    }
-  }
-  flush_staged_traces(); // default latches never trace: normally a no-op
-  for (std::uint32_t i : serial) {
-    Component* c = components_[i];
-    if (c != nullptr) {
-      c->commit();
-      c->touch_pending_ = false;
-    }
-  }
-  for (std::uint32_t i : guarded_due_) {
-    Component* c = components_[i];
-    if (c != nullptr) {
-      c->commit();
-      c->touch_pending_ = false;
-    }
-  }
   for (std::size_t k = 0; k < touched_.size(); ++k) {
     Component* c = components_[touched_[k]];
     if (c != nullptr && c->touch_pending_) {

@@ -24,46 +24,22 @@
 // Both schedulers dispatch components in registration order within a cycle,
 // so trace record order and interned trace ids are identical between them.
 //
-// Sharded execution (stride scheduler only): set_shards(N > 1) partitions
-// the per-cycle bulk work across N threads inside this one Kernel run.
-// Components explicitly assigned a shard (assign_shard()) tick and commit
-// concurrently, one thread per shard; everything else — the "serial set" —
-// runs on the driving thread, after the parallel ticks and after the
-// parallel commits respectively. The contract a sharded component must
-// satisfy is exactly the two-phase register discipline the component model
-// already imposes:
-//
-//   * tick() reads only committed Reg state (its own and other
-//     components'), writes only its own next-state/private members, and
-//     calls no kernel service except trace();
-//   * commit() is the default register latch (no override that reads or
-//     writes another component).
-//
-// Routers and NIs satisfy this by construction; components with
-// cross-component tick or commit behaviour (config agents mutating their
-// host element, the fault injector corrupting committed link registers,
-// the health monitor sampling them, shells pushing into NI queues) stay in
-// the serial set, where the single-threaded dispatch order is preserved.
-// Because parallel ticks still read only state committed at the previous
-// edge, the result is cycle-for-cycle identical to the serial schedule;
-// trace records emitted inside parallel phases are staged per shard and
-// merged back in registration order, keeping traces and interned ids
-// byte-identical to an unsharded run (the ctests diff them).
-//
-// The TDM schedule is what makes this partitioning profitable: routers and
-// NIs act only at slot boundaries (stride words_per_slot), so dispatched
-// cycles alternate between empty ones (fast-forwarded) and slot starts
-// where the whole mesh is due at once — a wide, perfectly balanced
-// parallel region with one slot of guaranteed lookahead on every
-// cross-shard link (a flit committed into a boundary register this slot
-// cannot be observed by the downstream shard before the next one).
+// Batched engines (stride scheduler only): a component marked with
+// dispatch_first() — hw::SlotEngine, which ticks and commits the
+// suspended routers and NIs itself — ticks before every other component
+// due in the same cycle and commits before them too. That is the order the
+// index-order loop already implies for the elements it covers: every
+// element registers before its config agent, and the components with
+// cross-component commits (fault injector, health monitor) register after
+// the network. Trace records the engine relays for its elements
+// (trace_as()/set_stage_key()) are parked in one buffer keyed by each
+// element's registration index and merged with the rest of the cycle's
+// records in registration order, so traces and interned ids stay
+// byte-identical to per-component dispatch (the ctests diff them).
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -86,9 +62,6 @@ struct Cadence {
 
 class Kernel {
  public:
-  /// Shard id of components that run in the serial set (the default).
-  static constexpr std::uint32_t kNoShard = 0xFFFFFFFFu;
-
   explicit Kernel(Scheduler scheduler = Scheduler::kStride)
       : scheduler_(scheduler) {}
   /// Detaches every component still registered, so one that outlives the
@@ -100,17 +73,6 @@ class Kernel {
   Kernel& operator=(const Kernel&) = delete;
 
   Scheduler scheduler() const { return scheduler_; }
-
-  /// Number of shard workers (1 = fully serial execution, the default).
-  /// Call between steps only. Values are clamped to [1, 64]. No-op under
-  /// kReference (the oracle stays single-threaded by definition).
-  void set_shards(std::uint32_t n);
-  std::uint32_t shards() const { return shards_; }
-
-  /// Assign a component to shard `shard` in [0, shards()), or back to the
-  /// serial set with kNoShard. Only components obeying the sharded-tick
-  /// contract (see file comment) may be assigned. Call between steps only.
-  void assign_shard(Component& c, std::uint32_t shard);
 
   /// Current cycle number. Cycle N covers the Nth tick/commit pair;
   /// now() increments after the commit phase.
@@ -165,44 +127,29 @@ class Kernel {
   Tracer* tracer() const { return tracer_; }
 
   // --- Batched-dispatch engine services (hw::SlotEngine) ---------------------
-  // A batched engine is one Component that ticks and commits a whole band
-  // of suspended elements itself. These three hooks keep its dispatch
-  // byte-identical to per-component dispatch: records it relays for an
-  // element carry the element's name and merge at the element's
-  // registration index, and the staged-path width threshold sees the
-  // band's true element count rather than "one component".
+  // A batched engine is one Component that ticks and commits a whole set
+  // of suspended elements itself. These hooks keep its dispatch
+  // byte-identical to per-component dispatch: it runs before the rest of
+  // the cycle, and the records it relays for an element carry the
+  // element's name and merge at the element's registration index.
+
+  /// Dispatch `c` before every other component due in the same cycle, in
+  /// both the tick and the commit phase, with its trace records staged for
+  /// the registration-order merge (see file comment). Call between steps.
+  void dispatch_first(Component& c);
 
   /// Record a trace as if `as` had emitted it from its own dispatch slot:
-  /// staged under as's registration index inside a staged phase, appended
-  /// directly otherwise. For engines that inline an element's tick and
-  /// must relay the records the element would have emitted.
+  /// staged under as's registration index inside a first-dispatched tick,
+  /// appended directly otherwise. For engines that inline an element's
+  /// tick and must relay the records the element would have emitted.
   void trace_as(const Component& as, TraceEvent event, std::uint64_t arg0 = 0,
                 std::uint64_t arg1 = 0);
 
   /// Re-key staged records to component `c` for the rest of the current
-  /// dispatch (no-op outside a staged phase). For engines that call into
-  /// an element's own tick body, whose trace() calls would otherwise
-  /// stage under the engine's index.
+  /// dispatch (no-op when not staging). For engines that call into an
+  /// element's own tick body, whose trace() calls would otherwise stage
+  /// under the engine's index.
   void set_stage_key(const Component& c);
-
-  /// Weight of `c` in the staged-path width threshold (default 1). A
-  /// batched engine reports its band's element count so the pool
-  /// engages exactly where per-component dispatch would have.
-  void set_dispatch_weight(Component& c, std::uint32_t weight);
-
-  /// One trace record emitted inside a staged dispatch phase, parked until
-  /// the phase joins. `key` is the registration index of the *dispatched*
-  /// component (an agent relaying into its host element stages under the
-  /// agent's slot, exactly where the record lands serially); records with
-  /// equal keys keep their emission order within one buffer. Public only
-  /// for the kernel-internal thread-local dispatch context.
-  struct StagedTrace {
-    std::uint32_t key;
-    const Component* emitter; ///< whose name the record carries
-    TraceEvent event;
-    std::uint64_t arg0;
-    std::uint64_t arg1;
-  };
 
  private:
   friend class Component;
@@ -222,10 +169,10 @@ class Kernel {
   void notify_external_write(Component* c);
 
   /// Trace-record path shared by every Component::trace() call: appends
-  /// directly to `t` outside parallel phases, stages into the calling
-  /// shard's buffer inside them (merged back in registration order at the
-  /// phase join). Interned-id caching lives here so staged records resolve
-  /// their ids in merged order — identical to the serial interning order.
+  /// directly to `t`, or stages the record while a first-dispatched
+  /// component ticks. Interned-id caching lives here so staged records
+  /// resolve their ids in merged order — identical to the serial
+  /// interning order.
   void record_trace(const Component& c, Tracer& t, TraceEvent event, std::uint64_t arg0,
                     std::uint64_t arg1);
 
@@ -245,34 +192,32 @@ class Kernel {
   Cycle next_due_cycle(Cycle from, Cycle limit) const;
   void step_reference();
   void step_stride();
-  /// The cycle body when the residue-`r` due lists carry shard-assigned
-  /// work: shard lists run first (on the worker pool when `use_pool`,
-  /// inline on the driver otherwise), then the serial set, with
-  /// staged-trace merges at the joins. Shard-before-serial is the order
-  /// the serial loop already implies — every element registers before
-  /// its config agent, and the cross-component commits (injector,
-  /// monitor) live in the serial set — so both variants are
-  /// byte-identical to plain index-order dispatch.
-  void step_stride_staged(std::size_t r, bool use_pool);
   /// Shared by run()/run_until(): advance one dispatch point, either by
   /// executing the current cycle or by fast-forwarding to the next cycle
   /// (< end) where anything is due. Returns the kernel to a state where
   /// now() has advanced by at least one.
   void advance_or_skip(Cycle end);
 
-  // --- Sharded execution (see file comment) ----------------------------------
-  /// Run one parallel round: every worker (and the driving thread, as
-  /// shard 0) executes `phase` (0 = tick, 1 = commit) over its per-shard
-  /// due list, then all join.
-  void run_parallel_round(int phase);
-  void run_shard_list(const std::vector<std::uint32_t>& list, int phase,
-                      std::vector<StagedTrace>* stage);
-  /// Merge per-shard staged records (each ascending by key) into the
-  /// tracer in global registration order and clear the buffers.
-  void flush_staged_traces();
-  void start_workers();
-  void stop_workers();
-  void worker_loop(std::uint32_t shard);
+  /// One trace record parked while a first-dispatched component ticks.
+  /// `key` is the registration index the record merges at: the element
+  /// named by set_stage_key()/trace_as(), else the dispatched component.
+  struct StagedTrace {
+    std::uint32_t key;
+    const Component* emitter; ///< whose name the record carries
+    TraceEvent event;
+    std::uint64_t arg0;
+    std::uint64_t arg1;
+  };
+  /// Merge key above every registration index: flushes all staged records.
+  static constexpr std::uint32_t kNoKey = 0xFFFFFFFFu;
+
+  void append_trace(const Component& c, Tracer& t, TraceEvent event, std::uint64_t arg0,
+                    std::uint64_t arg1);
+  void stage_trace(std::uint32_t key, const Component& c, TraceEvent event, std::uint64_t arg0,
+                   std::uint64_t arg1);
+  /// Append the staged records from staged_[*next] on whose key is below
+  /// `key_limit`, advancing *next.
+  void flush_staged(std::size_t* next, std::uint32_t key_limit);
 
   Scheduler scheduler_;
   std::vector<Component*> components_; ///< registration order; null = tombstone
@@ -282,39 +227,21 @@ class Kernel {
   // Precomputed dispatch schedule (stride scheduler only).
   bool schedule_dirty_ = true;
   Cycle period_ = 1;
-  std::vector<std::vector<std::uint32_t>> due_; ///< per residue, ascending indices
+  std::vector<std::vector<std::uint32_t>> due_; ///< per residue, see first_count_
   std::vector<std::uint32_t> guarded_;          ///< stride doesn't divide period_
   std::vector<std::uint32_t> guarded_due_;      ///< per-cycle scratch of due guarded
   std::vector<std::uint32_t> touched_;          ///< pending end-of-cycle commits
   std::size_t sleeping_count_ = 0;
   Cycle next_wake_ = kNoCycle;
 
-  // Shard partition of the due table (built when shards_ > 1 or any
-  // active component is shard-assigned — batched engines are assigned
-  // even single-threaded, so their band dispatch lands before the serial
-  // set): due_shard_[r * shards_ + s] holds the shard-s subset of
-  // due_[r], due_serial_[r] the serial-set subset, both ascending.
-  // due_shard_weight_[r * shards_ + s] is the summed dispatch weight of
-  // that list (elements covered, not components listed).
-  std::uint32_t shards_ = 1;
-  bool has_partition_ = false;
-  std::vector<std::vector<std::uint32_t>> due_shard_;
-  std::vector<std::vector<std::uint32_t>> due_serial_;
-  std::vector<std::size_t> due_shard_weight_;
-  std::vector<std::vector<StagedTrace>> stage_;   ///< per shard + one serial buffer
-  bool staging_ = false;      ///< inside a parallel phase with a live tracer
-  bool in_parallel_ = false;  ///< workers running (guards kernel services)
-
-  // Worker pool (lazily started by the first parallel cycle).
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;   ///< wakes workers on a new round
-  std::condition_variable done_cv_;   ///< wakes the driver when a round ends
-  std::uint64_t round_ = 0;           ///< generation counter of rounds
-  int round_phase_ = 0;               ///< 0 = tick, 1 = commit
-  std::size_t round_remaining_ = 0;
-  const std::vector<std::uint32_t>* round_lists_ = nullptr; ///< [shards_] due lists
-  bool pool_stop_ = false;
+  /// Per residue: how many leading entries of due_[r] are
+  /// first-dispatched components (dispatch_first). due_[r] lists those
+  /// first, then the rest, each part ascending — so the commit loop walks
+  /// due_[r] front to back and the tick loop stages only the prefix.
+  std::vector<std::uint32_t> first_count_;
+  std::vector<StagedTrace> staged_; ///< records of this cycle's first ticks
+  bool staging_ = false;            ///< a first-dispatched component is ticking
+  std::uint32_t stage_key_ = 0;     ///< merge key of records staged now
 
   Cycle now_ = 0;
   Tracer* tracer_ = nullptr;

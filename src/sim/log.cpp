@@ -8,8 +8,8 @@ namespace daelite::sim {
 
 namespace {
 // Level and sink are read on every logging call from whichever thread is
-// dispatching components — shard workers inside one kernel and batch job
-// threads both log through here — so they are atomics, and the actual
+// dispatching components — concurrent batch jobs each run their own
+// kernel on a job thread — so they are atomics, and the actual
 // stream insertion is serialized: most ostreams (ostringstream capture
 // sinks in tests, file sinks) are not safe for concurrent insertion, and
 // even for std::cerr the mutex keeps whole lines intact.

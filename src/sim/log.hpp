@@ -22,9 +22,9 @@ enum class LogLevel : int {
 };
 
 /// Global log configuration. Thread-safe: level and sink are atomics and
-/// write() serializes the stream insertion, because components may log
-/// from shard worker threads (sim/kernel.hpp sharded execution) and from
-/// concurrent batch jobs (sim/parallel.hpp). set_sink() still must not
+/// write() serializes the stream insertion, because components of
+/// concurrent batch jobs (sim/parallel.hpp) log from the job threads.
+/// Each kernel itself is single-threaded. set_sink() still must not
 /// destroy the old sink while other threads are logging — swap sinks only
 /// when the kernels using the logger are quiescent (tests do this between
 /// runs).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -54,22 +55,77 @@ std::string topology_name(const Scenario& sc) {
   return "?";
 }
 
-/// Price the run from the hardware counters: word-link-crossings (the
-/// upstream element's per-output counter — NI link counter for the first
-/// hop, router forwarded_on for the rest), words through the declared
-/// DRAM-port NIs, and configuration words streamed. No-op unless the
-/// scenario enabled a model, keeping older reports byte-identical.
-void accumulate_energy(analysis::NetworkReport& report, const Scenario& sc,
-                       const topo::Mesh& mesh, hw::DaeliteNetwork& net) {
+/// Build the run's network on `kernel`, the same way for both pipelines:
+/// attach the tracer, apply the watchdog overrides, switch to SoA dispatch
+/// unless the spec selects the component path, then call the on_network
+/// hook. SoA comes before the hook, and both before the injector and
+/// monitor the caller adds, so those commit after the engine each cycle.
+std::unique_ptr<hw::DaeliteNetwork> build_network(sim::Kernel& kernel, const RunSpec& spec,
+                                                  const Scenario& sc, const topo::Mesh& mesh,
+                                                  const tdm::TdmParams& params,
+                                                  std::size_t min_ni_channels) {
+  kernel.set_tracer(spec.tracer);
+  hw::DaeliteNetwork::Options opt;
+  opt.tdm = params;
+  opt.cfg_root = mesh.ni(sc.host.first, sc.host.second);
+  opt.ni_channels = std::max(opt.ni_channels, min_ni_channels);
+  if (spec.watchdog_retries) opt.cfg_max_retries = *spec.watchdog_retries;
+  opt.cfg_timeout_mult = spec.watchdog_timeout_mult;
+  auto net = std::make_unique<hw::DaeliteNetwork>(kernel, mesh.topo, opt);
+  if (spec.soa) net->enable_soa();
+  if (spec.on_network) spec.on_network(kernel, *net);
+  return net;
+}
+
+/// Fill the report's hardware-counter tail once the run is over: the
+/// reserved links of `schedule` with the slots a valid flit actually
+/// crossed them (the upstream element's per-output counter — NI link
+/// counter for the first hop, router forwarded_on for the rest) out of
+/// `slots_elapsed`, the drop and health counters, and the energy price.
+void fill_hw_counters(analysis::NetworkReport& report, const Scenario& sc,
+                      const topo::Mesh& mesh, hw::DaeliteNetwork& net,
+                      const tdm::Schedule& schedule, std::uint64_t slots_elapsed) {
+  const auto busy_slots = [&](const topo::Link& link) {
+    return mesh.topo.is_router(link.src) ? net.router(link.src).forwarded_on(link.src_port)
+                                         : net.ni(link.src).stats().link_busy_slots;
+  };
+  report.schedule = analysis::summarize_schedule(mesh.topo, schedule);
+  report.links = analysis::link_usage(mesh.topo, schedule);
+  report.links.erase(std::find_if(report.links.begin(), report.links.end(),
+                                  [](const analysis::LinkUsage& u) { return u.reserved == 0; }),
+                     report.links.end());
+  for (analysis::LinkUsage& u : report.links) {
+    u.busy_slots = busy_slots(mesh.topo.link(u.link));
+    u.slots_elapsed = slots_elapsed;
+  }
+
+  report.router_drops = net.total_router_drops();
+  report.ni_drops = net.total_ni_drops();
+  report.rx_overflow = net.total_rx_overflow();
+  report.health.protocol_errors = net.total_protocol_errors();
+  report.health.cfg_errors = net.total_cfg_errors();
+  report.health.timeouts = net.config_module().timeouts();
+  report.health.retries = net.config_module().retries();
+  report.health.aborted = net.config_module().aborted();
+  for (topo::NodeId n = 0; n < mesh.topo.node_count(); ++n) {
+    if (!mesh.topo.is_ni(n)) continue;
+    const hw::Ni& ni = net.ni(n);
+    for (std::size_t q = 0; q < net.options().ni_channels; ++q) {
+      report.health.words_sent += ni.tx_stats(q).words_sent;
+      report.health.words_delivered += ni.rx_stats(q).words_received;
+    }
+  }
+  report.health.corrupt_words = net.total_corrupt_words();
+  report.health.lost_words = net.total_lost_words();
+
+  // Price the run: word-link-crossings, words through the declared
+  // DRAM-port NIs, and configuration words streamed. Only when the
+  // scenario enabled a model, keeping older reports byte-identical.
   if (!sc.energy.enabled) return;
   report.energy.enabled = true;
   report.energy.model = sc.energy;
-  for (topo::LinkId l = 0; l < mesh.topo.link_count(); ++l) {
-    const topo::Link& link = mesh.topo.link(l);
-    report.energy.link_flit_hops += mesh.topo.is_router(link.src)
-                                        ? net.router(link.src).forwarded_on(link.src_port)
-                                        : net.ni(link.src).stats().link_busy_slots;
-  }
+  for (topo::LinkId l = 0; l < mesh.topo.link_count(); ++l)
+    report.energy.link_flit_hops += busy_slots(mesh.topo.link(l));
   for (const auto& d : sc.dram) {
     const hw::Ni& ni = net.ni(mesh.ni(d.first, d.second));
     for (std::size_t q = 0; q < net.options().ni_channels; ++q) {
@@ -157,17 +213,8 @@ void run_dnn_scenario(const RunSpec& spec, Scenario& sc, topo::Mesh& mesh,
   }
 
   sim::Kernel kernel(spec.scheduler);
-  kernel.set_tracer(spec.tracer);
-  hw::DaeliteNetwork::Options opt;
-  opt.tdm = *params;
-  opt.cfg_root = mesh.ni(sc.host.first, sc.host.second);
-  opt.ni_channels = std::max(opt.ni_channels, channels);
-  if (spec.watchdog_retries) opt.cfg_max_retries = *spec.watchdog_retries;
-  opt.cfg_timeout_mult = spec.watchdog_timeout_mult;
-  hw::DaeliteNetwork net(kernel, mesh.topo, opt);
-  if (spec.shards > 1) net.assign_shards(spec.shards);
-  if (spec.soa) net.enable_soa();
-  if (spec.on_network) spec.on_network(kernel, net);
+  const auto net_owner = build_network(kernel, spec, sc, mesh, *params, channels);
+  hw::DaeliteNetwork& net = *net_owner;
 
   sim::Tracer* tr = (spec.tracer != nullptr && spec.tracer->enabled()) ? spec.tracer : nullptr;
   const std::uint32_t scen_id = tr ? tr->intern("scenario") : 0;
@@ -280,40 +327,8 @@ void run_dnn_scenario(const RunSpec& spec, Scenario& sc, topo::Mesh& mesh,
 
   report.workload.total_cycles = kernel.now();
   report.schedule_utilization = cur->schedule_utilization;
-  report.schedule = analysis::summarize_schedule(mesh.topo, allocator.schedule());
-  report.links = analysis::link_usage(mesh.topo, allocator.schedule());
-  report.links.erase(std::find_if(report.links.begin(), report.links.end(),
-                                  [](const analysis::LinkUsage& u) { return u.reserved == 0; }),
-                     report.links.end());
-  const std::uint64_t slots_elapsed = kernel.now() / params->words_per_slot;
-  for (analysis::LinkUsage& u : report.links) {
-    const topo::Link& link = mesh.topo.link(u.link);
-    u.busy_slots = mesh.topo.is_router(link.src)
-                       ? net.router(link.src).forwarded_on(link.src_port)
-                       : net.ni(link.src).stats().link_busy_slots;
-    u.slots_elapsed = slots_elapsed;
-  }
-
-  report.router_drops = net.total_router_drops();
-  report.ni_drops = net.total_ni_drops();
-  report.rx_overflow = net.total_rx_overflow();
-  report.health.protocol_errors = net.total_protocol_errors();
-  report.health.cfg_errors = net.total_cfg_errors();
-  report.health.timeouts = net.config_module().timeouts();
-  report.health.retries = net.config_module().retries();
-  report.health.aborted = net.config_module().aborted();
-  for (topo::NodeId n = 0; n < mesh.topo.node_count(); ++n) {
-    if (!mesh.topo.is_ni(n)) continue;
-    const hw::Ni& ni = net.ni(n);
-    for (std::size_t q = 0; q < net.options().ni_channels; ++q) {
-      report.health.words_sent += ni.tx_stats(q).words_sent;
-      report.health.words_delivered += ni.rx_stats(q).words_received;
-    }
-  }
-  report.health.corrupt_words = net.total_corrupt_words();
-  report.health.lost_words = net.total_lost_words();
-
-  accumulate_energy(report, sc, mesh, net);
+  fill_hw_counters(report, sc, mesh, net, allocator.schedule(),
+                   kernel.now() / params->words_per_slot);
 
   bool all_done = true;
   for (const analysis::WorkloadLayerOutcome& lo : report.workload.layers)
@@ -410,19 +425,8 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
     ++report.service.per_class[static_cast<std::size_t>(d.spec.service_class)].connections;
 
   sim::Kernel kernel(spec.scheduler);
-  kernel.set_tracer(spec.tracer);
-  hw::DaeliteNetwork::Options opt;
-  opt.tdm = dim->params;
-  opt.cfg_root = mesh.ni(sc.host.first, sc.host.second);
-  if (spec.watchdog_retries) opt.cfg_max_retries = *spec.watchdog_retries;
-  opt.cfg_timeout_mult = spec.watchdog_timeout_mult;
-  hw::DaeliteNetwork net(kernel, mesh.topo, opt);
-  if (spec.shards > 1) net.assign_shards(spec.shards);
-  // SoA after sharding (the engine bands follow the shard bands), before
-  // the on_network hook, injector and monitor — those must register after
-  // the engines so their serial commits still run last in the cycle.
-  if (spec.soa) net.enable_soa();
-  if (spec.on_network) spec.on_network(kernel, net);
+  const auto net_owner = build_network(kernel, spec, sc, mesh, dim->params, 0);
+  hw::DaeliteNetwork& net = *net_owner;
 
   // The injector is constructed after every network element so it commits
   // last each cycle (it corrupts freshly committed link values). Absent a
@@ -948,33 +952,10 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
     }
   }
   const tdm::Schedule& final_schedule = live ? live->schedule() : reporter.schedule();
-  report.schedule = analysis::summarize_schedule(mesh.topo, final_schedule);
-  report.links = analysis::link_usage(mesh.topo, final_schedule);
-  report.links.erase(std::find_if(report.links.begin(), report.links.end(),
-                                  [](const analysis::LinkUsage& u) { return u.reserved == 0; }),
-                     report.links.end());
-
-  // Measured per-link occupancy: slots in which a valid flit actually
-  // crossed the link, from the upstream element's per-output counter.
-  const std::uint64_t slots_elapsed = sc.run_cycles / dim->params.words_per_slot;
-  for (analysis::LinkUsage& u : report.links) {
-    const topo::Link& link = mesh.topo.link(u.link);
-    u.busy_slots = mesh.topo.is_router(link.src)
-                       ? net.router(link.src).forwarded_on(link.src_port)
-                       : net.ni(link.src).stats().link_busy_slots;
-    u.slots_elapsed = slots_elapsed;
-  }
-
-  report.router_drops = net.total_router_drops();
-  report.ni_drops = net.total_ni_drops();
-  report.rx_overflow = net.total_rx_overflow();
+  fill_hw_counters(report, sc, mesh, net, final_schedule,
+                   sc.run_cycles / dim->params.words_per_slot);
 
   report.health.enabled = injector.has_value();
-  report.health.protocol_errors = net.total_protocol_errors();
-  report.health.cfg_errors = net.total_cfg_errors();
-  report.health.timeouts = net.config_module().timeouts();
-  report.health.retries = net.config_module().retries();
-  report.health.aborted = net.config_module().aborted();
   if (injector) {
     const sim::FaultCounters& fc = injector->counters();
     report.health.faults_injected = fc.injected;
@@ -983,18 +964,6 @@ analysis::NetworkReport run_scenario(const RunSpec& spec) {
     report.health.words_stuck = fc.stuck;
     report.health.words_killed = fc.killed;
   }
-  for (topo::NodeId n = 0; n < mesh.topo.node_count(); ++n) {
-    if (!mesh.topo.is_ni(n)) continue;
-    const hw::Ni& ni = net.ni(n);
-    for (std::size_t q = 0; q < net.options().ni_channels; ++q) {
-      report.health.words_sent += ni.tx_stats(q).words_sent;
-      report.health.words_delivered += ni.rx_stats(q).words_received;
-    }
-  }
-  report.health.corrupt_words = net.total_corrupt_words();
-  report.health.lost_words = net.total_lost_words();
-
-  accumulate_energy(report, sc, mesh, net);
 
   report.recovery.enabled = spec.recovery.enabled;
   if (monitor) {

@@ -80,20 +80,17 @@ struct RunSpec {
   /// (a ctest diffs them); kReference exists as the oracle for that check
   /// and never enables SoA dispatch (see `soa`).
   sim::Scheduler scheduler = sim::Scheduler::kStride;
-  /// Shard count for single-run parallelism (stride scheduler only):
-  /// > 1 partitions the mesh's routers and NIs into contiguous node bands
-  /// that tick/commit concurrently inside this one kernel
-  /// (DaeliteNetwork::assign_shards). Reports and traces are byte-identical
-  /// for every value — the shard count is deliberately NOT recorded in the
-  /// report, so CI can diff --shards 1 against --shards N outputs.
-  std::uint32_t shards = 1;
   /// Batched SoA slot dispatch (DaeliteNetwork::enable_soa), the default
   /// data path. false selects the per-component stride dispatch, kept as
   /// the cross-check; kReference ignores the flag and stays the
-  /// per-component oracle. Like `shards`, byte-identical output and
+  /// per-component oracle. Byte-identical output either way and
   /// deliberately NOT recorded in the report, so CI can diff the SoA
   /// default against `--scheduler stride` and `--scheduler reference`.
   bool soa = true;
+  /// Unused: run_scenario() never reads it. It is the former shard count
+  /// of single-simulation sharding, which was removed; the field stays
+  /// only because the benchmark driver (nocbench/) still assigns it.
+  std::uint32_t shards = 1;
   /// Invoked once the network exists, before configuration — attach VCD
   /// probes or extra instrumentation here. Objects the hook creates must
   /// outlive the run_scenario() call; components among them are detached

@@ -10,7 +10,7 @@
 //
 // Storage can be *rebound* into an external structure-of-arrays pool
 // (hw::SlotEngine): the table keeps its public API, but entries live in
-// one flat allocation shared by every router in a dispatch band, so the
+// one flat allocation shared by every router of the engine, so the
 // batched slot loop walks contiguous memory instead of chasing per-router
 // vectors. A freshly constructed table owns its storage; rebind() copies
 // the current contents into the pool and drops the owned backing.

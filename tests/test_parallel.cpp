@@ -99,8 +99,8 @@ TEST(ThreadPool, WaitIdleBlocksUntilQuiescent) {
 }
 
 TEST(ThreadPool, ConcurrentLoggingIsRaceFreeAndLineAtomic) {
-  // Components log from shard worker threads and from concurrent batch
-  // jobs, so sim::Log must tolerate simultaneous write() calls into one
+  // Components of concurrent batch jobs log from their job threads, so
+  // sim::Log must tolerate simultaneous write() calls into one
   // sink: no torn lines, every line present (TSan additionally checks the
   // absence of data races on the level/sink globals here).
   std::ostringstream captured;

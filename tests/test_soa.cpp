@@ -1,23 +1,26 @@
 // SoA batched slot dispatch: hw::SlotEngine and the rebindable slot
 // tables it pools (tdm/slot_table.hpp, daelite/slot_engine.hpp).
 //
-// enable_soa() must be a pure wall-clock optimization, exactly like
-// sharding: byte-identical reports, traces, counters, and delivery
-// timing at every (scheduler, shards, soa) combination. These tests pin
-// that property:
+// enable_soa() must be a pure wall-clock optimization: byte-identical
+// reports, traces, counters, and delivery timing across the SoA default,
+// the per-component stride path and the per-cycle reference oracle.
+// These tests pin that property:
 //   * slot-table mechanics: the O(1) used-count and per-slot output
 //     masks stay exact across set/clear, rebinding into a pool preserves
 //     contents and later writes, copies re-own their storage;
 //   * randomized scenario property: seeded random meshes and connection
 //     sets produce identical NetworkReport JSON across the default SoA
-//     dispatch, the component path, shard counts 1/2/4, and the
-//     per-cycle reference oracle;
+//     dispatch, the component path, and the per-cycle reference oracle;
 //   * external-write timing into SoA-skipped NIs (host pushes during
 //     idle stretches must still commit on the same edge);
 //   * multicast-heavy delivery logs, word for word and cycle for cycle;
 //   * fault-injected runs (the injector corrupts links around the
 //     engine's skip logic — valid bits can only be cleared, so skipping
 //     stays exact);
+//   * a link killed mid-run with recovery armed: the injector, health
+//     monitor and mid-run re-route run in the serial set around the
+//     engine, and detection, verdicts and the repaired route must not
+//     move by a cycle;
 //   * full trace streams merge identically (records AND interned ids);
 //   * enable_soa() refuses under the reference scheduler, which ignores
 //     suspension and would double-dispatch the covered elements.
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "alloc/allocator.hpp"
+#include "alloc/dimension.hpp"
 #include "alloc/usecase.hpp"
 #include "daelite/network.hpp"
 #include "sim/fault.hpp"
@@ -140,14 +144,15 @@ struct TestNet {
   std::unique_ptr<DaeliteNetwork> net;
   std::unique_ptr<alloc::SlotAllocator> alloc;
 
-  TestNet(int w, int h, std::uint32_t slots, std::uint32_t shards, bool soa) {
+  TestNet(int w, int h, std::uint32_t slots, bool soa) {
     mesh = topo::make_mesh(w, h);
     DaeliteNetwork::Options opt;
     opt.tdm = tdm::daelite_params(slots);
     opt.cfg_root = mesh.ni(0, 0);
     net = std::make_unique<DaeliteNetwork>(kernel, mesh.topo, opt);
-    if (shards > 1) net->assign_shards(shards);
-    if (soa) EXPECT_TRUE(net->enable_soa());
+    if (soa) {
+      EXPECT_TRUE(net->enable_soa());
+    }
     alloc = std::make_unique<alloc::SlotAllocator>(mesh.topo, opt.tdm);
   }
 
@@ -192,8 +197,8 @@ TEST(SlotEngine, RefusesUnderReferenceSchedulerAndIsIdempotent) {
 /// land on slot starts, mid-slot cycles, and long idle stretches where
 /// the SoA engine is skipping the source NI outright — the kernel's
 /// touched pass must still commit those queue writes on the same edge.
-DeliveryLog run_unicast(std::uint32_t shards, bool soa) {
-  TestNet t(4, 4, 8, shards, soa);
+DeliveryLog run_unicast(bool soa) {
+  TestNet t(4, 4, 8, soa);
   const auto conn = t.connect(t.mesh.ni(0, 0), {t.mesh.ni(3, 3)}, 2, 1);
   const auto h = t.net->open_connection(conn);
   EXPECT_NE(t.net->run_config(), sim::kNoCycle);
@@ -213,16 +218,13 @@ DeliveryLog run_unicast(std::uint32_t shards, bool soa) {
 }
 
 TEST(SlotEngine, ExternalWritesIntoSkippedNisAreCycleExact) {
-  const DeliveryLog component = run_unicast(1, false);
+  const DeliveryLog component = run_unicast(false);
   ASSERT_FALSE(component.empty());
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    const DeliveryLog soa = run_unicast(shards, true);
-    ASSERT_EQ(soa.size(), component.size()) << shards << " shards";
-    for (std::size_t i = 0; i < component.size(); ++i) {
-      EXPECT_EQ(soa[i].first, component[i].first) << "word " << i << ", " << shards << " shards";
-      EXPECT_EQ(soa[i].second, component[i].second)
-          << "arrival cycle of word " << i << ", " << shards << " shards";
-    }
+  const DeliveryLog soa = run_unicast(true);
+  ASSERT_EQ(soa.size(), component.size());
+  for (std::size_t i = 0; i < component.size(); ++i) {
+    EXPECT_EQ(soa[i].first, component[i].first) << "word " << i;
+    EXPECT_EQ(soa[i].second, component[i].second) << "arrival cycle of word " << i;
   }
 }
 
@@ -231,8 +233,8 @@ TEST(SlotEngine, ExternalWritesIntoSkippedNisAreCycleExact) {
 /// A 3-destination multicast whose route tree fans across the mesh, plus
 /// a unicast sharing links with it — the regime where two router outputs
 /// forward the same input in the same slot.
-std::vector<DeliveryLog> run_multicast(std::uint32_t shards, bool soa) {
-  TestNet t(4, 4, 16, shards, soa);
+std::vector<DeliveryLog> run_multicast(bool soa) {
+  TestNet t(4, 4, 16, soa);
   const auto mc = t.connect(t.mesh.ni(0, 0),
                             {t.mesh.ni(3, 1), t.mesh.ni(0, 2), t.mesh.ni(3, 3)}, 2,
                             /*resp_slots=*/0);
@@ -260,17 +262,15 @@ std::vector<DeliveryLog> run_multicast(std::uint32_t shards, bool soa) {
 }
 
 TEST(SlotEngine, MulticastHeavyDeliveryIsIdentical) {
-  const std::vector<DeliveryLog> component = run_multicast(1, false);
+  const std::vector<DeliveryLog> component = run_multicast(false);
   for (const DeliveryLog& log : component) ASSERT_FALSE(log.empty());
-  for (std::uint32_t shards : {1u, 4u}) {
-    const std::vector<DeliveryLog> soa = run_multicast(shards, true);
-    ASSERT_EQ(soa.size(), component.size());
-    for (std::size_t d = 0; d < component.size(); ++d) {
-      ASSERT_EQ(soa[d].size(), component[d].size()) << "destination " << d;
-      for (std::size_t i = 0; i < component[d].size(); ++i) {
-        EXPECT_EQ(soa[d][i].first, component[d][i].first) << "dst " << d << " word " << i;
-        EXPECT_EQ(soa[d][i].second, component[d][i].second) << "dst " << d << " word " << i;
-      }
+  const std::vector<DeliveryLog> soa = run_multicast(true);
+  ASSERT_EQ(soa.size(), component.size());
+  for (std::size_t d = 0; d < component.size(); ++d) {
+    ASSERT_EQ(soa[d].size(), component[d].size()) << "destination " << d;
+    for (std::size_t i = 0; i < component[d].size(); ++i) {
+      EXPECT_EQ(soa[d][i].first, component[d][i].first) << "dst " << d << " word " << i;
+      EXPECT_EQ(soa[d][i].second, component[d][i].second) << "dst " << d << " word " << i;
     }
   }
 }
@@ -321,15 +321,16 @@ TEST(SlotEngine, RunSpecDefaultsToSoADispatch) {
   EXPECT_EQ(spec.scheduler, sim::Scheduler::kStride);
 }
 
-std::string run_report(const soc::Scenario& sc, Dispatch dispatch, std::uint32_t shards,
-                       const sim::FaultPlan* plan = nullptr, std::string* error = nullptr) {
+std::string run_report(const soc::Scenario& sc, Dispatch dispatch,
+                       const sim::FaultPlan* plan = nullptr, std::string* error = nullptr,
+                       bool recover = false) {
   soc::RunSpec spec;
   spec.label = "soa-prop";
   spec.scenario = sc;
   if (dispatch == Dispatch::kStride) spec.soa = false;
   if (dispatch == Dispatch::kReference) spec.scheduler = sim::Scheduler::kReference;
-  spec.shards = shards;
   if (plan != nullptr) spec.fault_plan = *plan;
+  spec.recovery.enabled = recover;
   const analysis::NetworkReport rep = soc::run_scenario(spec);
   if (error != nullptr) *error = rep.error;
   return rep.to_json().dump(2);
@@ -340,14 +341,11 @@ TEST(SlotEngine, RandomizedReportsIdenticalAcrossDispatchModes) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const soc::Scenario sc = random_scenario(seed);
     std::string error;
-    const std::string base = run_report(sc, Dispatch::kStride, 1, nullptr, &error);
+    const std::string base = run_report(sc, Dispatch::kStride, nullptr, &error);
     if (!error.empty()) continue; // a draw the allocator cannot schedule
     ++meaningful;
-    EXPECT_EQ(run_report(sc, Dispatch::kReference, 1), base) << "seed " << seed;
-    for (std::uint32_t shards : {1u, 2u, 4u}) {
-      EXPECT_EQ(run_report(sc, Dispatch::kSoA, shards), base)
-          << "seed " << seed << ", " << shards << " shards";
-    }
+    EXPECT_EQ(run_report(sc, Dispatch::kReference), base) << "seed " << seed;
+    EXPECT_EQ(run_report(sc, Dispatch::kSoA), base) << "seed " << seed;
   }
   // The draws are deterministic, so this is a stable floor, not flakiness.
   EXPECT_GE(meaningful, 4);
@@ -365,13 +363,64 @@ TEST(SlotEngine, FaultInjectedReportsIdenticalAcrossDispatchModes) {
   plan.seed = 42;
   plan.rate = 0.002;
   std::string error;
-  const std::string base = run_report(sc, Dispatch::kStride, 1, &plan, &error);
+  const std::string base = run_report(sc, Dispatch::kStride, &plan, &error);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(run_report(sc, Dispatch::kReference, 1, &plan), base);
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    EXPECT_EQ(run_report(sc, Dispatch::kSoA, shards, &plan), base)
-        << shards << " shards";
+  EXPECT_EQ(run_report(sc, Dispatch::kReference, &plan), base);
+  EXPECT_EQ(run_report(sc, Dispatch::kSoA, &plan), base);
+}
+
+// --- Link kill with recovery around the engine --------------------------------------
+
+/// Four corner-to-opposite-corner connections on a 4x4 mesh.
+soc::Scenario corner_scenario() {
+  soc::Scenario sc;
+  sc.kind = soc::Scenario::TopologyKind::kMesh;
+  sc.width = 4;
+  sc.height = 4;
+  sc.slots = 16;
+  sc.host = {2, 2};
+  sc.run_cycles = 12000;
+  const std::pair<int, int> corners[4] = {{0, 0}, {3, 0}, {0, 3}, {3, 3}};
+  for (int i = 0; i < 4; ++i) {
+    soc::Scenario::RawConnection c;
+    c.name = "corner" + std::to_string(i);
+    c.src = corners[i];
+    c.dsts.push_back(corners[3 - i]);
+    c.bandwidth = 100.0;
+    sc.raw.push_back(std::move(c));
   }
+  return sc;
+}
+
+TEST(SlotEngine, RecoveryReportsIdenticalAcrossDispatchModes) {
+  // Kill the middle link of the first connection's route (found by
+  // replaying the deterministic dimensioning) mid-run with recovery armed:
+  // the fault injector, health monitor, quarantine and mid-run re-route
+  // all run in the kernel's serial set around the engine — detection
+  // cycles, verdicts and the repaired route must not move by a cycle.
+  soc::Scenario sc = corner_scenario();
+  topo::Mesh mesh = sc.build();
+  const auto dim = alloc::dimension_network(mesh.topo, sc.connections,
+                                            alloc::NocClocking{sc.clock_mhz, 4}, {*sc.slots});
+  ASSERT_TRUE(dim.has_value());
+  const auto& edges = dim->allocation.connections.front().request.edges;
+
+  sim::FaultPlan plan;
+  plan.seed = 42;
+  sim::FaultDirective kill;
+  kill.kind = sim::FaultDirective::Kind::kKill;
+  kill.cls = sim::FaultClass::kData;
+  kill.line_index = static_cast<std::int64_t>(edges[edges.size() / 2].link);
+  kill.from = 4000;
+  kill.to = sim::kNoCycle;
+  plan.directives.push_back(kill);
+
+  std::string error;
+  const std::string base = run_report(sc, Dispatch::kStride, &plan, &error, /*recover=*/true);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_NE(base.find("\"restored\": true"), std::string::npos);
+  EXPECT_EQ(run_report(sc, Dispatch::kSoA, &plan, nullptr, true), base);
+  EXPECT_EQ(run_report(sc, Dispatch::kReference, &plan, nullptr, true), base);
 }
 
 // --- Trace identity ----------------------------------------------------------------
@@ -381,10 +430,10 @@ TEST(SlotEngine, TracesMergeIdenticallyUnderSoA) {
   // records through the staged buffer keyed by the element's registration
   // index — the merged stream must match the component path record for
   // record, including interned name ids.
-  const auto run_traced = [](std::uint32_t shards, bool soa) {
+  const auto run_traced = [](bool soa) {
     sim::Tracer tracer;
     {
-      TestNet t(4, 4, 8, shards, soa);
+      TestNet t(4, 4, 8, soa);
       t.kernel.set_tracer(&tracer);
       const auto conn = t.connect(t.mesh.ni(0, 0), {t.mesh.ni(3, 3)}, 2, 1);
       const auto h = t.net->open_connection(conn);
@@ -404,19 +453,17 @@ TEST(SlotEngine, TracesMergeIdenticallyUnderSoA) {
     return named;
   };
 
-  const auto component = run_traced(1, false);
+  const auto component = run_traced(false);
   ASSERT_FALSE(component.empty());
-  for (std::uint32_t shards : {1u, 4u}) {
-    const auto soa = run_traced(shards, true);
-    ASSERT_EQ(soa.size(), component.size()) << shards << " shards";
-    for (std::size_t i = 0; i < component.size(); ++i) {
-      EXPECT_EQ(soa[i].first, component[i].first) << "record " << i;
-      EXPECT_EQ(soa[i].second.cycle, component[i].second.cycle) << "record " << i;
-      EXPECT_EQ(soa[i].second.comp, component[i].second.comp) << "record " << i;
-      EXPECT_EQ(soa[i].second.event, component[i].second.event) << "record " << i;
-      EXPECT_EQ(soa[i].second.arg0, component[i].second.arg0) << "record " << i;
-      EXPECT_EQ(soa[i].second.arg1, component[i].second.arg1) << "record " << i;
-    }
+  const auto soa = run_traced(true);
+  ASSERT_EQ(soa.size(), component.size());
+  for (std::size_t i = 0; i < component.size(); ++i) {
+    EXPECT_EQ(soa[i].first, component[i].first) << "record " << i;
+    EXPECT_EQ(soa[i].second.cycle, component[i].second.cycle) << "record " << i;
+    EXPECT_EQ(soa[i].second.comp, component[i].second.comp) << "record " << i;
+    EXPECT_EQ(soa[i].second.event, component[i].second.event) << "record " << i;
+    EXPECT_EQ(soa[i].second.arg0, component[i].second.arg0) << "record " << i;
+    EXPECT_EQ(soa[i].second.arg1, component[i].second.arg1) << "record " << i;
   }
 }
 

@@ -14,13 +14,14 @@
 //                      per-component cross-check) | reference (the
 //                      per-cycle oracle, never SoA). Byte-identical output
 //                      on all three — only wall-clock time changes
-//   --shards N         intra-simulation shard threads per job (default 1);
-//                      composes with --jobs — N shard workers inside each
-//                      of the concurrently running jobs. Output is
-//                      byte-identical at any --shards value (CI diffs it)
+//   --fault-seed N, --fault-rate R, --fault-plan F
+//                      deterministic fault injection on every job
 //   --recover          arm the self-healing subsystem on every job (dead
 //                      links quarantined, connections re-routed mid-run;
 //                      reports carry a `recovery` section)
+//   --preempt, --compact, --watchdog-retries N, --watchdog-timeout-mult X
+//                      as in daelite_sim (tools::parse_run_flags parses
+//                      these shared RunSpec flags for both drivers)
 //   --trace DIR        write one Chrome trace_event file per job into DIR
 //   --per-connection   print per-job connection latency tables on stderr
 //   --list             print the expanded job list and exit
@@ -28,7 +29,8 @@
 //
 // The cross product of {scenarios + synthetic meshes} x {slots} x {seeds}
 // expands into independent jobs, each simulated on its own Kernel by the
-// sim::ThreadPool. Job order — and therefore the emitted document — is
+// sim::ThreadPool (each job's simulation is single-threaded; --jobs is the
+// only parallelism). Job order — and therefore the emitted document — is
 // fixed at expansion time, so `--jobs 8` output is byte-identical to
 // `--jobs 1` (wall-clock timing goes to stderr only, never into the JSON).
 // Exit status: 0 if every job met its contracts, 1 otherwise, 2 on usage
@@ -65,7 +67,6 @@ int usage() {
          "  --mesh WxH[t],.. add synthetic corner-stress scenarios (t = torus)\n"
          "  --run-cycles C   override run length for every job\n"
          "  --scheduler S    dispatch path: soa (default) | stride | reference\n"
-         "  --shards N       shard threads inside every job's simulation\n"
          "  --trace DIR      one Chrome trace_event file per job in DIR\n"
          "  --fault-seed N   seed for fault injection (with --fault-rate/plan)\n"
          "  --fault-rate R   per-word fault probability in [0,1] on every link\n"
@@ -166,15 +167,7 @@ int main(int argc, char** argv) {
   std::uint64_t seeds = 0;
   std::vector<std::string> mesh_specs;
   std::optional<sim::Cycle> run_cycles;
-  sim::Scheduler scheduler = sim::Scheduler::kStride;
-  std::uint32_t shards = 1;
-  bool soa = true;
-  sim::FaultPlan fault_plan;
-  bool recover = false;
-  bool preempt = false;
-  bool compact = false;
-  std::optional<std::uint32_t> watchdog_retries;
-  double watchdog_timeout_mult = 1.0;
+  soc::RunSpec base_spec; ///< the shared RunSpec flags; every job starts from it
   std::string trace_dir;
   bool per_connection = false;
   bool list_only = false;
@@ -182,6 +175,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> scenario_paths;
 
   for (int i = 1; i < argc; ++i) {
+    switch (tools::parse_run_flags("daelite_batch", argc, argv, &i, &base_spec)) {
+      case tools::RunFlag::kParsed: continue;
+      case tools::RunFlag::kBad: return 2;
+      case tools::RunFlag::kNone: break;
+    }
     const auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         std::cerr << "daelite_batch: " << flag << " needs a value\n";
@@ -227,56 +225,10 @@ int main(int argc, char** argv) {
       sim::Cycle c = 0;
       if (!tools::parse_int(v, &c)) return bad_value("--run-cycles", "an integer", v);
       run_cycles = c;
-    } else if (std::strcmp(argv[i], "--scheduler") == 0) {
-      const char* v = need("--scheduler");
-      if (!v) return usage();
-      if (!tools::parse_scheduler(v, &scheduler, &soa)) return usage();
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need("--shards");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &shards)) return bad_value("--shards", "an integer", v);
-      if (shards == 0) shards = 1;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       const char* v = need("--trace");
       if (!v) return usage();
       trace_dir = v;
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-      const char* v = need("--fault-seed");
-      if (!v) return usage();
-      if (!tools::parse_int(v, &fault_plan.seed)) return bad_value("--fault-seed", "an integer", v);
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
-      const char* v = need("--fault-rate");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &fault_plan.rate) || fault_plan.rate < 0.0 ||
-          fault_plan.rate > 1.0) {
-        return bad_value("--fault-rate", "a number in [0,1]", v);
-      }
-    } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
-      const char* v = need("--fault-plan");
-      if (!v) return usage();
-      std::string ferr;
-      if (!sim::FaultPlan::parse_file(v, &fault_plan, &ferr)) {
-        std::cerr << "daelite_batch: " << ferr << "\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--recover") == 0) {
-      recover = true;
-    } else if (std::strcmp(argv[i], "--preempt") == 0) {
-      preempt = true;
-    } else if (std::strcmp(argv[i], "--compact") == 0) {
-      compact = true;
-    } else if (std::strcmp(argv[i], "--watchdog-retries") == 0) {
-      const char* v = need("--watchdog-retries");
-      if (!v) return usage();
-      std::uint32_t n = 0;
-      if (!tools::parse_int(v, &n)) return bad_value("--watchdog-retries", "an integer >= 0", v);
-      watchdog_retries = n;
-    } else if (std::strcmp(argv[i], "--watchdog-timeout-mult") == 0) {
-      const char* v = need("--watchdog-timeout-mult");
-      if (!v) return usage();
-      if (!tools::parse_double(v, &watchdog_timeout_mult) || watchdog_timeout_mult <= 0.0) {
-        return bad_value("--watchdog-timeout-mult", "a number > 0", v);
-      }
     } else if (std::strcmp(argv[i], "--per-connection") == 0) {
       per_connection = true;
     } else if (std::strcmp(argv[i], "--list") == 0) {
@@ -338,20 +290,11 @@ int main(int argc, char** argv) {
     }();
     for (const auto& slots : slot_list) {
       for (std::uint64_t seed : seed_list) {
-        soc::RunSpec spec;
+        soc::RunSpec spec = base_spec;
         spec.scenario = b.scenario;
         spec.slots_override = slots;
         spec.run_cycles_override = run_cycles;
         spec.seed = seed;
-        spec.scheduler = scheduler;
-        spec.shards = shards;
-        spec.soa = soa;
-        spec.fault_plan = fault_plan;
-        spec.recovery.enabled = recover;
-        spec.recovery.preempt_best_effort = preempt;
-        spec.recovery.compact_after_recovery = compact;
-        spec.watchdog_retries = watchdog_retries;
-        spec.watchdog_timeout_mult = watchdog_timeout_mult;
         std::string label = b.name;
         if (slots) label += "[slots=" + std::to_string(*slots) + "]";
         if (seed) label += "[seed=" + std::to_string(seed) + "]";

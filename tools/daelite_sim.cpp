@@ -2,8 +2,10 @@
 //
 //   daelite_sim <scenario file> [--vcd out.vcd] [--json out.json]
 //               [--trace out.trace.json] [--per-connection] [--quiet]
-//               [--scheduler soa|stride|reference] [--shards N]
+//               [--scheduler soa|stride|reference]
 //               [--fault-seed N] [--fault-rate R] [--fault-plan file]
+//               [--recover] [--preempt] [--compact]
+//               [--watchdog-retries N] [--watchdog-timeout-mult X]
 //
 // Executes a scenario end to end through soc::run_scenario(): parse,
 // dimension (choosing the wheel size unless the scenario pins one),
@@ -18,15 +20,11 @@
 // per-connection latency quantile table. --scheduler selects the dispatch
 // path, the one option that does: `soa` (the default) runs the data path as
 // batched structure-of-arrays slot dispatch (hw::SlotEngine) — one engine
-// per shard band forwards the whole slot for all its routers/NIs over flat
-// slot-table pools, skipping idle elements; `stride` is the per-component
-// stride dispatch, kept as the cross-check; `reference` is the per-cycle
-// oracle loop, which never enables SoA. All three produce byte-identical
-// reports, traces and VCDs (CI diffs them). --shards N partitions the mesh
-// into N bands of routers/NIs that tick and commit on N threads inside the
-// one simulation (soa and stride only); every shard count produces
-// byte-identical output — CI diffs --shards 1 against --shards 4 — so the
-// flag only changes wall-clock time.
+// forwards the whole slot for every router/NI over flat slot-table pools,
+// skipping idle elements; `stride` is the per-component stride dispatch,
+// kept as the cross-check; `reference` is the per-cycle oracle loop, which
+// never enables SoA. All three produce byte-identical reports, traces and
+// VCDs (CI diffs them); the simulation runs on one thread.
 // --fault-rate / --fault-plan enable deterministic fault injection on the
 // data and configuration links (see sim/fault.hpp for the plan grammar);
 // the report then carries a `health` section. --recover additionally arms
@@ -39,14 +37,15 @@
 // connections onto lower injection slots after every recovery wave; both
 // add a `service` section with per-class outcomes. --watchdog-retries and
 // --watchdog-timeout-mult tune the config module's response watchdog
-// (retry budget, and a scale on the depth-derived timeout).
+// (retry budget, and a scale on the depth-derived timeout). These shared
+// RunSpec flags parse through tools::parse_run_flags, exactly as in
+// daelite_batch.
 
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 
 #include "daelite/vcd_probes.hpp"
 #include "sim/json.hpp"
@@ -61,7 +60,7 @@ namespace {
 int usage() {
   std::cerr << "usage: daelite_sim <scenario file> [--vcd out.vcd] [--json out.json]\n"
                "                   [--trace out.trace.json] [--per-connection] [--quiet]\n"
-               "                   [--scheduler soa|stride|reference] [--shards N]\n"
+               "                   [--scheduler soa|stride|reference]\n"
                "                   [--fault-seed N] [--fault-rate R] [--fault-plan file]\n"
                "                   [--recover] [--preempt] [--compact]\n"
                "                   [--watchdog-retries N] [--watchdog-timeout-mult X]\n"
@@ -79,16 +78,13 @@ int main(int argc, char** argv) {
   std::string trace_path;
   bool per_connection = false;
   bool quiet = false;
-  sim::Scheduler scheduler = sim::Scheduler::kStride;
-  std::uint32_t shards = 1;
-  bool soa = true;
-  sim::FaultPlan fault_plan;
-  bool recover = false;
-  bool preempt = false;
-  bool compact = false;
-  std::optional<std::uint32_t> watchdog_retries;
-  double watchdog_timeout_mult = 1.0;
+  soc::RunSpec spec;
   for (int i = 1; i < argc; ++i) {
+    switch (tools::parse_run_flags("daelite_sim", argc, argv, &i, &spec)) {
+      case tools::RunFlag::kParsed: continue;
+      case tools::RunFlag::kBad: return 2;
+      case tools::RunFlag::kNone: break;
+    }
     if (std::strcmp(argv[i], "--vcd") == 0 && i + 1 < argc) {
       vcd_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -99,53 +95,6 @@ int main(int argc, char** argv) {
       per_connection = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
-    } else if (std::strcmp(argv[i], "--scheduler") == 0 && i + 1 < argc) {
-      if (!tools::parse_scheduler(argv[++i], &scheduler, &soa)) return usage();
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      if (!tools::parse_int(argv[++i], &shards) || shards == 0) {
-        std::cerr << "daelite_sim: --shards wants an integer >= 1, got '" << argv[i] << "'\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      if (!tools::parse_int(argv[++i], &fault_plan.seed)) {
-        std::cerr << "daelite_sim: --fault-seed wants an integer, got '" << argv[i] << "'\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc) {
-      if (!tools::parse_double(argv[++i], &fault_plan.rate) || fault_plan.rate < 0.0 ||
-          fault_plan.rate > 1.0) {
-        std::cerr << "daelite_sim: --fault-rate wants a number in [0,1], got '" << argv[i]
-                  << "'\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
-      // The file may also set seed/rate; CLI flags given later still win.
-      std::string ferr;
-      if (!sim::FaultPlan::parse_file(argv[++i], &fault_plan, &ferr)) {
-        std::cerr << "daelite_sim: " << ferr << "\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--recover") == 0) {
-      recover = true;
-    } else if (std::strcmp(argv[i], "--preempt") == 0) {
-      preempt = true;
-    } else if (std::strcmp(argv[i], "--compact") == 0) {
-      compact = true;
-    } else if (std::strcmp(argv[i], "--watchdog-retries") == 0 && i + 1 < argc) {
-      std::uint32_t n = 0;
-      if (!tools::parse_int(argv[++i], &n)) {
-        std::cerr << "daelite_sim: --watchdog-retries wants an integer >= 0, got '" << argv[i]
-                  << "'\n";
-        return 2;
-      }
-      watchdog_retries = n;
-    } else if (std::strcmp(argv[i], "--watchdog-timeout-mult") == 0 && i + 1 < argc) {
-      if (!tools::parse_double(argv[++i], &watchdog_timeout_mult) ||
-          watchdog_timeout_mult <= 0.0) {
-        std::cerr << "daelite_sim: --watchdog-timeout-mult wants a number > 0, got '" << argv[i]
-                  << "'\n";
-        return 2;
-      }
     } else if (argv[i][0] == '-') {
       return usage();
     } else {
@@ -160,19 +109,8 @@ int main(int argc, char** argv) {
     std::cerr << "daelite_sim: " << error << "\n";
     return 2;
   }
-
-  soc::RunSpec spec;
   spec.label = scenario_path;
   spec.scenario = *scenario;
-  spec.scheduler = scheduler;
-  spec.shards = shards;
-  spec.soa = soa;
-  spec.fault_plan = fault_plan;
-  spec.recovery.enabled = recover;
-  spec.recovery.preempt_best_effort = preempt;
-  spec.recovery.compact_after_recovery = compact;
-  spec.watchdog_retries = watchdog_retries;
-  spec.watchdog_timeout_mult = watchdog_timeout_mult;
 
   std::unique_ptr<sim::Tracer> tracer;
   if (!trace_path.empty()) {
